@@ -73,6 +73,7 @@ from .verify import (
     factor,
     is_irreducible,
     round_and_divide,
+    screen_candidates,
     trace_test,
 )
 

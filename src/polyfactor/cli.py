@@ -111,10 +111,9 @@ def _build_cfg(args) -> ToleranceConfig:
 
 
 def _default_workers() -> int:
-    env = os.environ.get("POLYFACTOR_WORKERS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    """POLYFACTOR_WORKERS, else 1: the threaded table under the GIL is slower
+    than serial backend e, so parallelism is opt-in."""
+    return max(1, int(os.environ.get("POLYFACTOR_WORKERS") or 1))
 
 
 def cmd_factor(args) -> int:

@@ -93,8 +93,12 @@ def _to_float(value: int, dtype) -> float:
 
 
 def frac(x: float) -> float:
-    """Fractional part in [0, 1); frac(-0.25) == 0.75."""
-    return float(x) - math.floor(x)
+    """Fractional part in [0, 1); frac(-0.25) == 0.75.
+
+    x - floor(x) rounds to 1.0 for tiny negative x (frac(-1e-17)); that value
+    is 0 modulo 1, and it is returned as 0.0 so the result stays in range."""
+    f = float(x) - math.floor(x)
+    return f if f < 1.0 else 0.0
 
 
 def find_roots(p: IntPolynomial, cfg: ToleranceConfig | None = None) -> np.ndarray:

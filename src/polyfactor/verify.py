@@ -1,10 +1,12 @@
 """Candidate verification and the top-level factorization driver.
 
 A pattern from the recombination stage is only a hint: its selected roots sum
-to nearly an integer. Verification rebuilds the corresponding real factor,
-screens it by trace integrality, rounds the coefficients, and finally demands
-an exact integer division of the input. Nothing floating ever reaches the
-output; a factorization is shipped with a certificate obtained by exact
+to nearly an integer. Verification first screens all patterns at once by
+integrality of their power-sum traces (one matrix product per chunk of
+patterns), then rebuilds the real factor of each survivor, repeats the trace
+test on it, rounds the coefficients, and finally demands an exact integer
+division of the input. Nothing floating ever reaches the output; a
+factorization is shipped with a certificate obtained by exact
 re-multiplication.
 """
 from __future__ import annotations
@@ -28,17 +30,23 @@ from .rootfinder import RootProfile, ToleranceConfig, build_profile, find_roots
 # numerically resolvable against the integer lattice
 _TRACE_REL = 1e-11
 _INT_LIMIT = 1 << 62  # beyond this, float values cannot certify integrality
+# patterns screened per matrix product; bounds the bit matrix and the trace
+# and scale arrays to this many rows
+_SCREEN_CHUNK = 1024
 
 
 @dataclass(frozen=True)
 class CandidateFactor:
     """A real factor rebuilt from a pattern: monic coefficients (extended
-    precision) plus the power-sum traces of its selected roots."""
+    precision) plus the power-sum traces of its selected roots. coeff_scales
+    holds the size of each coefficient's terms (the coefficients of the
+    product with every root taken in absolute value)."""
 
     pattern: int
     real_coeffs: np.ndarray
     traces: np.ndarray
     trace_scales: np.ndarray
+    coeff_scales: np.ndarray
 
     @property
     def degree(self) -> int:
@@ -78,17 +86,27 @@ def build_candidate(s: int, profile: RootProfile) -> CandidateFactor:
         t >>= 1
         i += 1
 
+    mags = np.array([1.0], dtype=ld)
     for u in reals:
         ext = np.zeros(len(coeffs) + 1, dtype=ld)
         ext[1:] += coeffs
         ext[:-1] -= u * coeffs
         coeffs = ext
+        ext = np.zeros(len(mags) + 1, dtype=ld)
+        ext[1:] += mags
+        ext[:-1] += abs(u) * mags
+        mags = ext
     for psum, pprod in pairs:
         ext = np.zeros(len(coeffs) + 2, dtype=ld)
         ext[2:] += coeffs
         ext[1:-1] -= psum * coeffs
         ext[:-2] += pprod * coeffs
         coeffs = ext
+        ext = np.zeros(len(mags) + 2, dtype=ld)
+        ext[2:] += mags
+        ext[1:-1] += abs(psum) * mags
+        ext[:-2] += pprod * mags
+        mags = ext
 
     e = len(coeffs) - 1
     traces = np.zeros(e, dtype=ld)
@@ -117,7 +135,9 @@ def build_candidate(s: int, profile: RootProfile) -> CandidateFactor:
                 prev, cur = pstate[idx]
                 pstate[idx] = (cur, psum * cur - pprod * prev)
                 pmag[idx] *= np.sqrt(pprod)
-    return CandidateFactor(pattern=s, real_coeffs=coeffs, traces=traces, trace_scales=scales)
+    return CandidateFactor(
+        pattern=s, real_coeffs=coeffs, traces=traces, trace_scales=scales, coeff_scales=mags
+    )
 
 
 def trace_test(cand: CandidateFactor, eps: float) -> bool:
@@ -140,19 +160,102 @@ def trace_test(cand: CandidateFactor, eps: float) -> bool:
 
 def round_and_divide(cand: CandidateFactor, p: IntPolynomial, eps: float) -> IntPolynomial | None:
     """Round the candidate's coefficients to integers and demand an exact
-    division of p. None (rejection) is the normal fate of spurious patterns."""
+    division of p. None (rejection) is the normal fate of spurious patterns.
+
+    Coefficient k sums products of e - k roots, so its float error is at most
+    (e - k) * (size of its terms) * (per-root error budget), the budget of the
+    trace test. Each coefficient must lie within that bound, or within eps
+    if larger, of an integer; exact division decides the rest."""
+    e = len(cand.real_coeffs) - 1
     rounded: list[int] = []
-    for c in cand.real_coeffs:
+    for k, c in enumerate(cand.real_coeffs):
         r = np.rint(c)
-        if abs(float(c - r)) > eps:
-            return None
         if abs(float(r)) >= _INT_LIMIT:
+            return None
+        tol = max(eps, (e - k) * float(cand.coeff_scales[k]) * _TRACE_REL)
+        if abs(float(c - r)) > tol:
             return None
         rounded.append(int(r))
     q = IntPolynomial(rounded)
     if q.degree < 1:
         return None
     return q if divide_exact(p, q) is not None else None
+
+
+def _trace_tables(profile: RootProfile, e_max: int) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Per-entry power sums and their scales for orders m = 1..e_max.
+
+    Returns the bit indices in build_candidate's summation order (real roots,
+    then pairs, each by bit index) and two long-double tables with one row per
+    index in that order: u^m and |u|^m for a real root u; for a pair
+    x^2 - t*x + m', the recurrence p_k = t*p_{k-1} - m'*p_{k-2} and
+    2*sqrt(m')^k. The values are computed exactly as build_candidate does."""
+    ld = np.longdouble
+    r, perm = profile.r, profile.perm
+    real_bits = [i for i, ent in enumerate(perm) if ent < r]
+    pair_bits = [i for i, ent in enumerate(perm) if ent >= r]
+    reals = np.array([profile.real_roots[perm[i]] for i in real_bits], dtype=ld)
+    psum = np.array([profile.pair_sums[perm[i] - r] for i in pair_bits], dtype=ld)
+    pprod = np.array([profile.pair_products[perm[i] - r] for i in pair_bits], dtype=ld)
+
+    powers = np.cumprod(np.repeat(reals[:, None], e_max, axis=1), axis=1)
+    mags = np.cumprod(np.repeat(np.abs(reals)[:, None], e_max, axis=1), axis=1)
+
+    pair_powers = np.empty((len(pair_bits), e_max), dtype=ld)
+    prev, cur = np.full(len(pair_bits), ld(2.0)), psum
+    for m in range(e_max):
+        pair_powers[:, m] = cur
+        prev, cur = cur, psum * cur - pprod * prev
+    root = np.sqrt(pprod)
+    steps = np.repeat(root[:, None], e_max, axis=1)
+    steps[:, 0] *= ld(2.0)
+    pair_mags = np.cumprod(steps, axis=1)
+
+    return (
+        real_bits + pair_bits,
+        np.concatenate([powers, pair_powers]),
+        np.concatenate([mags, pair_mags]),
+    )
+
+
+def screen_candidates(patterns, profile: RootProfile, eps: float):
+    """Yield (pattern, passed) for every pattern, in (selected degree,
+    pattern) order, where passed is trace_test(build_candidate(s), eps).
+
+    The scales of a whole chunk of patterns are one product of its bit matrix
+    with the scale table of _trace_tables; the traces of the orders some
+    pattern consults under trace_test's rule are a second product, with the
+    power-sum table. Both sum in build_candidate's order, and the rule is
+    applied unchanged. Chunks are screened lazily, so a caller that stops at
+    the first confirmed factor never screens the chunks after it."""
+    pats = np.fromiter(patterns, dtype=np.uint64, count=len(patterns))
+    if not len(pats):
+        return
+    chunks = range(0, len(pats), _SCREEN_CHUNK)
+    shifts = np.arange(profile.n, dtype=np.uint64)
+    weight = np.array([1 if ent < profile.r else 2 for ent in profile.perm], dtype=np.uint64)
+    degrees = np.concatenate(
+        [((pats[i : i + _SCREEN_CHUNK, None] >> shifts) & 1) @ weight for i in chunks]
+    )
+    order = np.lexsort((pats, degrees))
+    pats, degrees = pats[order], degrees[order]
+
+    cols, powers, mags = _trace_tables(profile, int(degrees[-1]))
+    col_shifts = np.array(cols, dtype=np.uint64)
+    for start in chunks:
+        stop = min(start + _SCREEN_CHUNK, len(pats))
+        e = int(degrees[stop - 1])
+        sel = ((pats[start:stop, None] >> col_shifts) & 1).astype(np.longdouble)
+        scales = (sel @ mags[:, :e]).astype(np.float64)
+        m = np.arange(1, e + 1, dtype=np.uint64)
+        consult = (m * scales * _TRACE_REL < eps) & (scales < _INT_LIMIT)
+        consult &= m <= degrees[start:stop, None]
+        # only the orders some candidate consults are worth a product
+        used = np.flatnonzero(consult.any(axis=0))
+        traces = sel @ powers[:, used]
+        off = np.abs((traces - np.rint(traces)).astype(np.float64)) >= eps
+        passed = ~np.any(off & consult[:, used], axis=1)
+        yield from zip(pats[start:stop].tolist(), passed.tolist())
 
 
 @dataclass
@@ -264,16 +367,16 @@ def _factor_monic_squarefree(
     cands = _recombine_dispatch(rho, cfg, backend, workers, stats)
     stats.recombine_seconds += time.perf_counter() - t0
 
-    ordered = sorted(cands.nontrivial(), key=lambda s: (selected_degree(s, profile), s))
-    stats.candidates += len(ordered)
+    patterns = cands.nontrivial()
+    stats.candidates += len(patterns)
 
     t0 = time.perf_counter()
-    for s in ordered:
-        cand = build_candidate(s, profile)
-        if not trace_test(cand, cfg.eps):
-            stats.rejected += 1
-            continue
-        q = round_and_divide(cand, p, cfg.eps)
+    for s, passed in screen_candidates(patterns, profile, cfg.eps):
+        q = None
+        if passed:
+            cand = build_candidate(s, profile)
+            if trace_test(cand, cfg.eps):
+                q = round_and_divide(cand, p, cfg.eps)
         if q is None:
             stats.rejected += 1
             continue

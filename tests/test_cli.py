@@ -96,6 +96,21 @@ def test_factor_json_schema(capsys):
     assert doc["stats"]["n"] >= 1
 
 
+def test_factor_even_factors_exit_ok(capsys):
+    # both factors have their root pairs on the imaginary axis, so the pair
+    # sums are computed as tiny negatives and must still map into [0, 1)
+    rc = main(["factor", "x^4+8*x^2+15", "--json"])
+    captured = capsys.readouterr()
+    assert rc == EXIT_OK
+    assert "Traceback" not in captured.err
+    doc = json.loads(captured.out)
+    assert doc["factors"] == [
+        {"coeffs": [3, 0, 1], "multiplicity": 1},
+        {"coeffs": [5, 0, 1], "multiplicity": 1},
+    ]
+    assert doc["certificate"] is True
+
+
 def test_factor_parse_error_exit_code(capsys):
     assert main(["factor", "1 2 fish"]) == EXIT_PARSE
 
@@ -214,6 +229,14 @@ def test_bench_width_exit_code_parallel(monkeypatch, capsys):
 def test_bench_rejects_odd_degree():
     with pytest.raises(ValueError):
         list(bench_rows([7], ["e"], 1, 0, 1))
+
+
+def test_workers_default_is_one(monkeypatch):
+    from polyfactor.cli import build_parser
+
+    monkeypatch.delenv("POLYFACTOR_WORKERS", raising=False)
+    args = build_parser().parse_args(["factor", "x^2-1"])
+    assert args.workers == 1
 
 
 def test_workers_environment_override(monkeypatch):

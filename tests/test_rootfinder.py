@@ -30,6 +30,25 @@ def test_frac():
     assert abs(frac(1.41421356) - 0.41421356) < 1e-12
 
 
+@pytest.mark.parametrize("x", [-1e-17, -1e-300, -5e-324, -2.0**-54, -0.0])
+def test_frac_tiny_negative_stays_in_range(x):
+    # x - floor(x) rounds to 1.0 here; the fractional part is 0 modulo 1
+    assert frac(x) == 0.0
+
+
+def test_frac_small_negative_keeps_value():
+    assert frac(-2.0**-52) == 1.0 - 2.0**-52
+    assert 0.0 <= frac(-1e-10) < 1.0
+    assert frac(-1e-10) == pytest.approx(1.0 - 1e-10, abs=1e-16)
+
+
+def test_profile_of_imaginary_pairs_in_range():
+    # (x^2 + 3)(x^2 + 5): both pair sums are 0, computed as tiny floats
+    prof = profile_polynomial(P([15, 0, 8, 0, 1]), CFG)
+    assert prof.r == 0 and prof.c == 2
+    assert all(0.0 <= v < 1.0 for v in prof.rho)
+
+
 def test_roots_sqrt2():
     roots = find_roots(P([-2, 0, 1]), CFG)
     assert sorted(z.real for z in roots) == pytest.approx([-SQRT2, SQRT2], abs=1e-12)

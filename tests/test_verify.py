@@ -15,10 +15,12 @@ from polyfactor.polynomial import (
 from polyfactor.recombine import BACKENDS, RhoVector, recombine_e
 from polyfactor.rootfinder import ToleranceConfig, profile_polynomial
 from polyfactor.verify import (
+    CandidateFactor,
     build_candidate,
     factor,
     is_irreducible,
     round_and_divide,
+    screen_candidates,
     selected_degree,
     trace_test,
 )
@@ -101,15 +103,87 @@ def test_round_and_divide_accepts_known_factor():
 
 
 def test_round_and_divide_rejects_off_grid_coefficient():
-    from polyfactor.verify import CandidateFactor
-
     cand = CandidateFactor(
         pattern=1,
         real_coeffs=np.array([0.5003, 1.0], dtype=np.longdouble),
         traces=np.array([-0.5003], dtype=np.longdouble),
         trace_scales=np.array([0.5003], dtype=np.longdouble),
+        coeff_scales=np.array([0.5003, 1.0], dtype=np.longdouble),
     )
     assert round_and_divide(cand, P([-1, 2]), 1e-6) is None
+
+
+def test_round_and_divide_scales_gate_to_coefficient_size():
+    # x + 2^35 rebuilt with an error of 5e-6 on its constant term is within
+    # the per-root budget for a term that large (about 0.34), so exact
+    # division decides; an error of 0.45 is not, and the gate rejects it
+    big = 1 << 35
+
+    def cand(err):
+        return CandidateFactor(
+            pattern=1,
+            real_coeffs=np.array([big + err, 1.0], dtype=np.longdouble),
+            traces=np.array([-big], dtype=np.longdouble),
+            trace_scales=np.array([big], dtype=np.longdouble),
+            coeff_scales=np.array([big, 1.0], dtype=np.longdouble),
+        )
+
+    p = P([-big, big - 1, 1])  # (x + 2^35)(x - 1)
+    assert round_and_divide(cand(5e-6), p, 1e-6) == P([big, 1])
+    assert round_and_divide(cand(5e-6), P([big + 1, 1]), 1e-6) is None
+    assert round_and_divide(cand(0.45), p, 1e-6) is None
+
+
+def test_factor_non_monic_product_splits_fully():
+    # after monic_transform the degree-7 factor's constant term is about
+    # -2.56e10 with a float error of ~6e-6; an absolute eps gate lost it
+    parts = [
+        P([11, 14, -16, 17, 1]),
+        P([9, -3, 12, 9, -19, 4]),
+        P([2, -9, 1]),
+        P([-4, 20, -12, -17, -10, 11, 4, 9, 5]),
+        P([-20, -2, 15, 9, -20, 3, -18, 1]),
+    ]
+    p = parts[0]
+    for q in parts[1:]:
+        p = p * q
+    res = factor(p)
+    assert res.certificate
+    assert sorted(q.degree for q, _ in res.factors) == [2, 4, 5, 7, 8]
+    for q, m in res.factors:
+        assert m == 1 and divide_exact(p, q) is not None
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-9])
+@pytest.mark.parametrize(
+    "kind,size",
+    [("sd", 2), ("sd", 3), ("sd", 4), ("random", 16), ("random", 28), ("random", 40), ("random", 56)],
+)
+def test_screen_matches_per_candidate_trace_test(kind, size, eps):
+    # Swinnerton-Dyer f2..f4, and random products of degree `size`
+    if kind == "sd":
+        p = gen_swinnerton_dyer(size)
+    else:
+        p = multiply(*gen_random_reducible_parts(size, 100, seed=size))
+    cfg = ToleranceConfig(eps=eps)
+    prof = profile_polynomial(p, cfg)
+    patterns = recombine_e(RhoVector.from_profile(prof), eps).nontrivial()
+    assert patterns
+    screened = list(screen_candidates(patterns, prof, eps))
+    ordered = sorted(patterns, key=lambda s: (selected_degree(s, prof), s))
+    assert [s for s, _ in screened] == ordered
+    want = [trace_test(build_candidate(s, prof), eps) for s in ordered]
+    assert [ok for _, ok in screened] == want
+
+
+def test_screen_keeps_rejection_counts():
+    # every pattern before the first confirmed factor is counted as rejected,
+    # whether the screen, the trace test or the division turned it down
+    f, g = gen_random_reducible_parts(60, 100, seed=606)
+    res = factor(f * g)
+    assert sorted(q.coeffs for q, _ in res.factors) == sorted([f.coeffs, g.coeffs])
+    assert res.stats.candidates == 17121
+    assert res.stats.rejected == 10106
 
 
 def test_factor_difference_of_squares():
