@@ -111,8 +111,8 @@ def _build_cfg(args) -> ToleranceConfig:
 
 
 def _default_workers() -> int:
-    """POLYFACTOR_WORKERS, else 1: the threaded table under the GIL is slower
-    than serial backend e, so parallelism is opt-in."""
+    """POLYFACTOR_WORKERS, else 1. The count is validated and reported;
+    every count runs the same serial recombination core."""
     return max(1, int(os.environ.get("POLYFACTOR_WORKERS") or 1))
 
 

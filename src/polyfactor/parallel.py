@@ -1,5 +1,9 @@
 """Data-parallel table build and query sweep for backend e.
 
+factor() does not use this module: every worker count runs serial backend
+e, whose numpy window queries beat these threads under the GIL. The
+concurrent table stays as a tested, standalone construction.
+
 The shared table is a slot map whose only mutations are single indivisible
 operations: claim-if-empty and remove-and-own. Under CPython both are one C
 call on a dict with int keys (setdefault / pop), which cannot be interleaved

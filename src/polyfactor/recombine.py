@@ -7,7 +7,8 @@ fractional parts sum to within eps of an integer:
   b  the same scan with provably-sound jumps over barren pattern runs
   c  meet in the middle: expand both halves, sort, sweep the matching line
   d  c with the comparison sort replaced by the linear-time splat sort
-  e  splat one half only, stream the other, probe the table directly
+  e  sort one half's values once, then window-query them with the other
+     half's complements (two searchsorted calls per batch)
 
 Backends b..e discover candidates with a tiny slack band and then re-test
 every find against the one canonical value() function, so all five return
@@ -17,7 +18,6 @@ into the reported candidates.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +32,8 @@ GUARD = 1e-12
 _A_WIDTH_LIMIT = 30
 _A_CHUNK_BITS = 20
 _B_WIDTH_LIMIT = 30
+_FILTER_ROWS = 1 << 14  # patterns per bit matrix in the canonical filter
+_WINDOW_PAD = 1e-13  # window widening that covers the rounding of the -1/+1 copies
 
 
 @dataclass(frozen=True)
@@ -134,32 +136,38 @@ def subset_sums(values) -> np.ndarray:
     return sums
 
 
-def _value_list(s: int, vals: list) -> float:
-    x = 0.0
-    i = 0
-    while s:
-        if s & 1:
-            x += vals[i]
-        s >>= 1
-        i += 1
-    return x - math.floor(x)
+def _fractional_sums(values) -> np.ndarray:
+    """subset_sums reduced to their fractional parts, as value() reduces."""
+    sums = subset_sums(values)
+    sums -= np.floor(sums)
+    return sums
 
 
 def _canonical_filter(found, rho: RhoVector, eps: float) -> frozenset[int]:
     """Map each discovered pattern to min(s, ~s) and keep it only if the
     representative itself passes the canonical accept test. This is what
-    pins backends b..e to backend a's exact output."""
+    pins backends b..e to backend a's exact output.
+
+    Each value adds the selected entries in ascending index order with an
+    exact 0.0 for every unselected one, so it is bitwise value()'s."""
+    if isinstance(found, np.ndarray):
+        s = found.astype(np.uint64)
+    else:
+        s = np.fromiter(found, dtype=np.uint64)
+    if not len(s):
+        return frozenset()
     n = len(rho)
-    full = (1 << n) - 1
-    vals = rho.values.tolist()
-    out = set()
-    for s in found:
-        t = min(s, s ^ full)
-        if t in out:
-            continue
-        if accept(_value_list(t, vals), eps):
-            out.add(t)
-    return frozenset(out)
+    s = np.minimum(s, s ^ np.uint64((1 << n) - 1))
+    s.sort()
+    s = s[np.concatenate(([True], s[1:] != s[:-1]))]
+    shifts = np.arange(n, dtype=np.uint64)
+    keep = np.empty(len(s), dtype=bool)
+    for lo in range(0, len(s), _FILTER_ROWS):
+        bits = ((s[lo : lo + _FILTER_ROWS, None] >> shifts) & 1) != 0
+        x = np.cumsum(np.where(bits, rho.values, 0.0), axis=1)[:, -1]
+        y = x - np.floor(x)
+        keep[lo : lo + len(y)] = (y < eps) | (1.0 - y < eps)
+    return frozenset(s[keep].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -175,21 +183,19 @@ def recombine_a(rho: RhoVector, eps: float, stats: RecombineStats | None = None)
         return CandidateSet(frozenset(), 0)
     bits = n - 1  # bit n-1 is never set below 2^(n-1)
     eps_d = eps + GUARD
-    found: list[int] = []
     if bits <= _A_CHUNK_BITS:
-        vals = subset_sums(rho.values[:bits])
-        vals -= np.floor(vals)
-        found = np.nonzero((vals < eps_d) | (vals > 1.0 - eps_d))[0].tolist()
+        vals = _fractional_sums(rho.values[:bits])
+        found = np.flatnonzero((vals < eps_d) | (vals > 1.0 - eps_d))
     else:
         lo = subset_sums(rho.values[:_A_CHUNK_BITS])
         hi = subset_sums(rho.values[_A_CHUNK_BITS:bits])
+        parts = []
         for h, base in enumerate(hi):
             v = lo + base
             v -= np.floor(v)
-            idx = np.nonzero((v < eps_d) | (v > 1.0 - eps_d))[0]
-            if len(idx):
-                head = h << _A_CHUNK_BITS
-                found.extend((head | int(i)) for i in idx)
+            idx = np.flatnonzero((v < eps_d) | (v > 1.0 - eps_d))
+            parts.append(idx | (h << _A_CHUNK_BITS))
+        found = np.concatenate(parts)
     if stats is not None:
         stats.visited += 1 << bits
     return CandidateSet(_canonical_filter(found, rho, eps), n)
@@ -208,52 +214,33 @@ def recombine_a(rho: RhoVector, eps: float, stats: RecombineStats | None = None)
 
 
 def _scan_b_raw(rho, sig, n, eps, out):
-    # kernel form: indexable float sequences and plain ints only, so the
-    # same body runs jitted (ndarrays) and interpreted (lists)
+    # appends every visited pattern inside the bands to out; returns the
+    # visited count
     half = 1 << (n - 1)
     limit = 1.0 - eps
     rho0 = rho[0]
     s = 0
     cur = 0.0  # running raw subset sum for the current pattern
     visited = 0
-    nout = 0
-    cap = out.shape[0]
-    resync = 0
+    append = out.append
     while s < half:
         visited += 1
         x = cur % 1.0
         if x < eps or x > limit:
-            if nout < cap:
-                out[nout] = s
-            nout += 1
-        if s == 0:
-            c = n - 1
-        else:
-            c = 0
-            t = s
-            while t & 1 == 0:
-                t >>= 1
-                c += 1
-        j = c
+            append(s)
+        j = (s & -s).bit_length() - 1 if s else n - 1  # trailing zeros of s
         lim = limit - x
         while j > 0 and sig[j] >= lim:
             j -= 1
         if j > 0 and x + rho0 < eps:
             j = 0
         s2 = s + (1 << j)
-        changed = s ^ s2
-        m = 0
-        t = changed
-        while t > 1:
-            t >>= 1
-            m += 1
+        m = (s ^ s2).bit_length() - 1  # highest bit the step changes
         if m < n:
             cur += rho[m] - (sig[m] - sig[j])
         s = s2
-        resync += 1
-        if resync == 4096:
+        if not visited & 4095:
             # rebuild the running sum so float drift stays below the guard
-            resync = 0
             cur = 0.0
             t = s
             i = 0
@@ -262,127 +249,7 @@ def _scan_b_raw(rho, sig, n, eps, out):
                     cur += rho[i]
                 t >>= 1
                 i += 1
-    return visited, nout
-
-
-def _splat_raw(sums, values, patterns, k):
-    # insert every (value, index) pair; returns total probe count
-    probes = 0
-    n = sums.shape[0]
-    for s in range(n):
-        x = sums[s]
-        pattern = s
-        i = int(k * x)
-        steps = 0
-        while steps <= k:
-            steps += 1
-            v = values[i]
-            if v < 0.0:
-                values[i] = x
-                patterns[i] = pattern
-                break
-            if v > x:
-                values[i] = x
-                carried = patterns[i]
-                patterns[i] = pattern
-                x = v
-                pattern = carried
-            i += 1
-            if i == k:
-                i = 0
-        probes += steps
-    return probes
-
-
-def _splat_merged_raw(sums, merged, k):
-    # interleaved slot layout: merged[2i] holds the value, merged[2i+1] the
-    # pattern as an exact float (half widths stay far below 2^53); one cache
-    # line per slot instead of two. returns total probe count
-    probes = 0
-    n = sums.shape[0]
-    for s in range(n):
-        x = sums[s]
-        pattern = float(s)
-        i = int(k * x)
-        steps = 0
-        while steps <= k:
-            steps += 1
-            v = merged[2 * i]
-            if v < 0.0:
-                merged[2 * i] = x
-                merged[2 * i + 1] = pattern
-                break
-            if v > x:
-                merged[2 * i] = x
-                carried = merged[2 * i + 1]
-                merged[2 * i + 1] = pattern
-                x = v
-                pattern = carried
-            i += 1
-            if i == k:
-                i = 0
-        probes += steps
-    return probes
-
-
-def _stream_merged_raw(xs, merged, k, na, eps, out):
-    # query 1 - x for every low-half value against the interleaved table;
-    # returns (nout, probes)
-    probes = 0
-    nout = 0
-    cap = out.shape[0]
-    count = xs.shape[0]
-    for s_a in range(count):
-        t = (1.0 - xs[s_a]) % 1.0
-        lo = (t - eps) % 1.0
-        start = int(k * lo)
-        span = (int(k * ((t + eps) % 1.0)) - start) % k
-        i = start
-        off = 0
-        while off <= k:
-            v = merged[2 * i]
-            probes += 1
-            if v < 0.0:
-                if off >= span:
-                    break
-            else:
-                delta = (v - t) % 1.0
-                if delta < eps or delta > 1.0 - eps:
-                    if nout < cap:
-                        out[nout] = s_a | (int(merged[2 * i + 1]) << na)
-                    nout += 1
-            off += 1
-            i += 1
-            if i == k:
-                i = 0
-    return nout, probes
-
-
-_JIT: dict = {}
-_numba_checked = False
-
-
-def _kernels():
-    """Compiled kernels for the three hot loops, or an empty dict when numba
-    is unavailable or disabled via POLYFACTOR_NO_NUMBA."""
-    global _numba_checked
-    if not _numba_checked:
-        _numba_checked = True
-        if not os.environ.get("POLYFACTOR_NO_NUMBA"):
-            try:
-                import numba
-
-                _JIT["scan_b"] = numba.njit(cache=True)(_scan_b_raw)
-                _JIT["splat"] = numba.njit(cache=True)(_splat_raw)
-                _JIT["splat_merged"] = numba.njit(cache=True)(_splat_merged_raw)
-                _JIT["stream_merged"] = numba.njit(cache=True)(_stream_merged_raw)
-            except Exception:
-                _JIT.clear()
-    return _JIT
-
-
-def _b_scanner():
-    return _kernels().get("scan_b")
+    return visited
 
 
 def recombine_b(rho: RhoVector, eps: float, stats: RecombineStats | None = None) -> CandidateSet:
@@ -395,27 +262,11 @@ def recombine_b(rho: RhoVector, eps: float, stats: RecombineStats | None = None)
         raise ValueError("backend b requires rho sorted non-decreasing")
     if n == 0:
         return CandidateSet(frozenset(), 0)
-    eps_d = eps + GUARD
-    cap = 1 << 17
-    while True:
-        buf = np.empty(cap, dtype=np.int64)
-        fn = _b_scanner()
-        if fn is not None:
-            visited, nout = fn(
-                np.ascontiguousarray(rho.values),
-                np.ascontiguousarray(rho.sigma),
-                n,
-                eps_d,
-                buf,
-            )
-        else:
-            visited, nout = _scan_b_raw(rho.values.tolist(), rho.sigma.tolist(), n, eps_d, buf)
-        if nout <= cap:
-            break
-        cap = max(cap * 4, nout)
+    found: list[int] = []
+    visited = _scan_b_raw(rho.values.tolist(), rho.sigma.tolist(), n, eps + GUARD, found)
     if stats is not None:
-        stats.visited += int(visited)
-    return CandidateSet(_canonical_filter(buf[:nout].tolist(), rho, eps), n)
+        stats.visited += visited
+    return CandidateSet(_canonical_filter(found, rho, eps), n)
 
 
 def jump_width(s: int, x: float, rho: RhoVector, eps: float) -> int:
@@ -494,8 +345,7 @@ def expand(rho_half: RhoVector, stats: RecombineStats | None = None) -> ValueTab
     m = len(rho_half)
     if m > 32:
         raise WidthExceeded(f"expand handles half widths <= 32, got {m}")
-    sums = subset_sums(rho_half.values)
-    sums -= np.floor(sums)
+    sums = _fractional_sums(rho_half.values)
     order = np.argsort(sums, kind="stable")
     if stats is not None:
         stats.visited += 1 << m
@@ -541,40 +391,50 @@ def insert(x: float, pattern: int, table: ValueTable, stats: RecombineStats | No
         stats.insert_probes += probes
 
 
-def _splat_arrays(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Sparse table arrays for a prepared value vector; returns
-    (values, patterns, capacity, probe_count)."""
-    count = len(sums)
-    k = 2 * count
-    fn = _kernels().get("splat")
-    if fn is not None:
-        values = np.full(k, EMPTY, dtype=np.float64)
-        patterns = np.zeros(k, dtype=np.int64)
-        probes = int(fn(sums, values, patterns, k))
-        return values, patterns, k, probes
-    xs = sums.tolist()
-    vlist = [EMPTY] * k
-    plist = [0] * k
-    probes = 0
-    for s, x in enumerate(xs):
-        probes += _insert(vlist, plist, k, x, s)
-    return (
-        np.array(vlist, dtype=np.float64),
-        np.array(plist, dtype=np.int64),
-        k,
-        probes,
-    )
+def _splat_cells(vs: np.ndarray, k: int) -> tuple[np.ndarray, int]:
+    """Cell of each value in a splat table of capacity k, for values sorted
+    non-decreasing, plus the probe count of inserting them one by one.
+
+    An ordered linear-probing table ends in the same layout whatever the
+    insertion order (Amble & Knuth, Ordered hash tables, 1974), apart from
+    the order among equal values, so the layout is that of inserting in
+    sorted order: each value takes the cell after its predecessor's or its
+    home floor(k*x), whichever is later, i.e. i + cummax(home_i - i). The
+    values pushed past the end wrap into the first empty cells from 0, since
+    the smaller values stored there never give way to them. Every insertion
+    examines the cells from its home through the empty cell it fills, so the
+    probe total is the insert count plus the summed circular displacements.
+    """
+    home = (k * vs).astype(np.int64)
+    i = np.arange(len(vs))
+    cells = i + np.maximum.accumulate(home - i)
+    wrap = int(np.searchsorted(cells, k))
+    if wrap < len(vs):
+        free = np.ones(k, dtype=bool)
+        free[cells[:wrap]] = False
+        cells[wrap:] = np.flatnonzero(free)[: len(vs) - wrap]
+    return cells, len(vs) + int(np.sum((cells - home) % k))
 
 
 def splat(rho_half: RhoVector, stats: RecombineStats | None = None) -> ValueTable:
     """Distribution-sort all half-pattern values into a table of twice their
-    count; expected constant probes per insertion at this fill ratio."""
+    count; expected constant probes per insertion at this fill ratio.
+
+    The table is the one the insert() loop over patterns 0, 1, 2, ... builds,
+    cell for cell, except that equal values sit in pattern order (the serial
+    carries leave them in an order that depends on their history); content()
+    and the probe count are the same either way."""
     m = len(rho_half)
     if m > 31:
         raise WidthExceeded(f"splat handles half widths <= 31, got {m}")
-    sums = subset_sums(rho_half.values)
-    sums -= np.floor(sums)
-    values, patterns, _, probes = _splat_arrays(sums)
+    sums = _fractional_sums(rho_half.values)
+    order = np.argsort(sums, kind="stable")
+    k = 2 * len(sums)
+    cells, probes = _splat_cells(sums[order], k)
+    values = np.full(k, EMPTY, dtype=np.float64)
+    values[cells] = sums[order]
+    patterns = np.zeros(k, dtype=np.int64)
+    patterns[cells] = order
     if stats is not None:
         stats.inserts += len(sums)
         stats.insert_probes += probes
@@ -635,7 +495,34 @@ def query(
 
 
 # ---------------------------------------------------------------------------
-# meet-in-the-middle sweep
+# meet-in-the-middle window queries
+
+
+def _window_pairs(ts: np.ndarray, vs: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j) with (vs[j] - ts[i]) mod 1 below eps or above
+    1 - eps, the probe walk's test: every value within eps of a target on
+    the unit circle. Both arrays must be sorted non-decreasing.
+
+    Two searchsorted calls gather each target's values within a slightly
+    wider window from vs, padded by copies of its ends shifted by -1 and +1
+    so that windows wrap around 0/1; the exact test then runs on each pair.
+    Windows are narrow and most hold no value, so the upper bound is only
+    searched where the first value at or above the lower one lies inside."""
+    w = eps + _WINDOW_PAD
+    head = int(np.searchsorted(vs, w))
+    tail = int(np.searchsorted(vs, 1.0 - w))
+    ext = np.concatenate((vs[tail:] - 1.0, vs, vs[:head] + 1.0))
+    lo = np.searchsorted(ext, ts - w)
+    upper = ts + w
+    hit = np.flatnonzero(ext[np.minimum(lo, len(ext) - 1)] <= upper)
+    counts = np.zeros(len(ts), dtype=np.int64)
+    counts[hit] = np.searchsorted(ext, upper[hit], side="right") - lo[hit]
+    qi = np.repeat(np.arange(len(ts)), counts)
+    pos = np.arange(len(qi)) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    vj = (pos - (len(vs) - tail)) % len(vs)
+    delta = np.mod(vs[vj] - ts[qi], 1.0)
+    keep = (delta < eps) | (delta > 1.0 - eps)
+    return qi[keep], vj[keep]
 
 
 def find(
@@ -645,41 +532,20 @@ def find(
     stats: RecombineStats | None = None,
 ) -> set[int]:
     """All concatenated patterns with alpha_i + beta_j within the accept
-    bands, from one sweep along the alpha + beta = 1 line plus the two corner
-    bands at 0 and 2 (which a pure staircase would miss). Duplicate-value
-    neighborhoods are fully enumerated. Raw discovery output; the caller
-    applies the canonical filter."""
+    bands: one window query of every (1 - alpha_i) mod 1 against the sorted
+    beta values, so the bands at 0, 1 and 2 are one circular window.
+    Duplicate-value neighborhoods are fully enumerated. Raw discovery
+    output; the caller applies the canonical filter."""
     if alpha.sparse or beta.sparse:
         raise ValueError("find requires dense sorted tables")
-    a, b = alpha.values, beta.values
-    apat, bpat = alpha.patterns, beta.patterns
-    wa = alpha.width
-    eps_d = eps + GUARD
-    out: set[int] = set()
-
-    def emit(i: int, j: int) -> None:
-        out.add(int(apat[i]) | (int(bpat[j]) << wa))
-
-    # middle band: alpha + beta crosses 1
-    starts = np.searchsorted(a, (1.0 - eps_d) - b, side="right")
-    ends = np.searchsorted(a, (1.0 + eps_d) - b, side="left")
-    for j in np.nonzero(ends > starts)[0]:
-        for i in range(starts[j], ends[j]):
-            emit(i, int(j))
-    # low corner: both halves tiny
-    jmax = int(np.searchsorted(b, eps_d, side="left"))
-    for j in range(jmax):
-        for i in range(int(np.searchsorted(a, eps_d - b[j], side="left"))):
-            emit(i, j)
-    # high corner: alpha + beta approaches 2
-    if len(a):
-        jmin = int(np.searchsorted(b, (2.0 - eps_d) - a[-1], side="right"))
-        for j in range(jmin, len(b)):
-            for i in range(int(np.searchsorted(a, (2.0 - eps_d) - b[j], side="right")), len(a)):
-                emit(i, j)
+    t = np.mod(1.0 - alpha.values, 1.0)
+    qorder = np.argsort(t)
+    qi, vj = _window_pairs(t[qorder], beta.values, eps + GUARD)
     if stats is not None:
-        stats.find_steps += len(a) + len(b)
-    return out
+        stats.find_steps += len(alpha.values) + len(beta.values)
+    apat = alpha.patterns[qorder[qi]].astype(np.uint64)
+    bpat = beta.patterns[vj].astype(np.uint64)
+    return set((apat | (bpat << alpha.width)).tolist())
 
 
 def _split(rho: RhoVector) -> tuple[RhoVector, RhoVector]:
@@ -724,54 +590,57 @@ def recombine_d(rho: RhoVector, eps: float, stats: RecombineStats | None = None)
     return CandidateSet(_canonical_filter(raw, rho, eps), n)
 
 
+def _query_probes(cells: np.ndarray, k: int, ts: np.ndarray, eps: float) -> int:
+    """Cells that _probe_window examines over all targets ts in a splat
+    table of capacity k whose occupied cells are `cells`: each walk runs
+    from the home slot of t - eps through the window's span and on to the
+    next empty cell. For t in [0, 1) the wraps below are the ones % 1.0
+    makes, bit for bit."""
+    lo = ts - eps
+    lo[lo < 0.0] += 1.0
+    hi = ts + eps
+    hi[hi >= 1.0] -= 1.0
+    start = (k * lo).astype(np.int64)
+    span = ((k * hi).astype(np.int64) - start) % k
+    end = (start + span) % k
+    occupied = np.zeros(k, dtype=bool)
+    occupied[cells] = True
+    next_free = np.where(occupied, k + int(np.argmin(occupied)), np.arange(k))
+    next_free = np.minimum.accumulate(next_free[::-1])[::-1]
+    return len(ts) + int(span.sum()) + int((next_free[end] - end).sum())
+
+
 def recombine_e(rho: RhoVector, eps: float, stats: RecombineStats | None = None) -> CandidateSet:
-    """Splat the high half only (kept sparse) and stream the low half's
-    patterns through the probe structure; the most parallel-friendly form."""
+    """Sort the high half's values once and find every low-half pattern's
+    partners with window queries against them.
+
+    The counters are derived exactly from the serial table process: splat
+    the high half (inserts, insert probes), then walk the table with
+    _probe_window once per low-half pattern (queries, query probes)."""
     n = len(rho)
     _guard_width(n, 31)
     if n < 2:
         return recombine_a(rho, eps, stats)
-    rho_a, rho_b = _split(rho)
-    na = len(rho_a)
+    na = n // 2
     eps_d = eps + GUARD
-
-    bsums = subset_sums(rho_b.values)
-    bsums -= np.floor(bsums)
-    asums = subset_sums(rho_a.values)
-    asums -= np.floor(asums)
-    k = 2 * len(bsums)
-
-    raw: list[int] = []
-    kernels = _kernels()
-    if "stream_merged" in kernels:
-        merged = np.empty(2 * k, dtype=np.float64)
-        merged[0::2] = EMPTY
-        insert_probes = int(kernels["splat_merged"](bsums, merged, k))
-        cap = 1 << 16
-        while True:
-            out = np.empty(cap, dtype=np.int64)
-            nout, probes_total = kernels["stream_merged"](asums, merged, k, na, eps_d, out)
-            if nout <= cap:
-                raw = out[:nout].tolist()
-                break
-            cap = max(cap * 4, int(nout))
-    else:
-        bvalues, bpatterns, k, insert_probes = _splat_arrays(bsums)
-        xs = asums.tolist()
-        bvals = bvalues.tolist()
-        bpats = bpatterns.tolist()
-        probes_total = 0
-        for s_a, x in enumerate(xs):
-            hits, probes = _probe_window(bvals, bpats, k, (1.0 - x) % 1.0, eps_d)
-            probes_total += probes
-            for pb in hits:
-                raw.append(s_a | (pb << na))
+    bsums = _fractional_sums(rho.values[na:])
+    asums = _fractional_sums(rho.values[:na])
+    border = np.argsort(bsums)
+    vs = bsums[border]
+    t = 1.0 - asums
+    t[t == 1.0] = 0.0  # (1 - x) % 1.0, bit for bit
+    qorder = np.argsort(t)
+    ts = t[qorder]
+    qi, vj = _window_pairs(ts, vs, eps_d)
+    raw = qorder[qi] | (border[vj] << na)
     if stats is not None:
+        k = 2 * len(bsums)
+        cells, insert_probes = _splat_cells(vs, k)
         stats.inserts += len(bsums)
         stats.insert_probes += insert_probes
         stats.visited += len(bsums) + len(asums)
         stats.queries += len(asums)
-        stats.query_probes += int(probes_total)
+        stats.query_probes += _query_probes(cells, k, ts, eps_d)
     return CandidateSet(_canonical_filter(raw, rho, eps), n)
 
 

@@ -23,7 +23,7 @@ from .polynomial import (
     monic_untransform_factor,
     square_free_decompose,
 )
-from .recombine import BACKENDS, CandidateSet, RecombineStats, RhoVector
+from .recombine import BACKENDS, RecombineStats, RhoVector
 from .rootfinder import RootProfile, ToleranceConfig, build_profile, find_roots
 
 # per-root relative error budget used to decide whether a trace is still
@@ -299,6 +299,10 @@ def factor(
     and runs roots -> recombine -> verify on each part, recursing on every
     confirmed factor until nothing survives verification. The certificate
     flag is set by exact re-multiplication of the output.
+
+    `workers` is validated and recorded in the stats; every worker count
+    runs the same serial recombination (the threaded table in `parallel`
+    stays available on its own but is slower under the GIL).
     """
     cfg = cfg or ToleranceConfig()
     if backend not in BACKENDS:
@@ -314,12 +318,12 @@ def factor(
     out: list[tuple[IntPolynomial, int]] = []
     for part, mult in square_free_decompose(prim):
         if part.is_monic():
-            irr = _factor_monic_squarefree(part, cfg, backend, workers, stats)
+            irr = _factor_monic_squarefree(part, cfg, backend, stats)
         else:
             transformed = monic_transform(part)
             irr = [
                 monic_untransform_factor(g, part.leading)
-                for g in _factor_monic_squarefree(transformed, cfg, backend, workers, stats)
+                for g in _factor_monic_squarefree(transformed, cfg, backend, stats)
             ]
         out.extend((g, mult) for g in irr)
     out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs, fm[1]))
@@ -336,21 +340,10 @@ def factor(
     )
 
 
-def _recombine_dispatch(
-    rho: RhoVector, cfg: ToleranceConfig, backend: str, workers: int, stats: FactorStats
-) -> CandidateSet:
-    if backend == "e" and workers > 1:
-        from .parallel import parallel_recombine_e
-
-        return parallel_recombine_e(rho, cfg.eps, workers, stats.recombine)
-    return BACKENDS[backend](rho, cfg.eps, stats.recombine)
-
-
 def _factor_monic_squarefree(
     p: IntPolynomial,
     cfg: ToleranceConfig,
     backend: str,
-    workers: int,
     stats: FactorStats,
 ) -> list[IntPolynomial]:
     if p.degree <= 1:
@@ -364,7 +357,7 @@ def _factor_monic_squarefree(
     rho = RhoVector.from_profile(profile)
     stats.n = max(stats.n, len(rho))
     t0 = time.perf_counter()
-    cands = _recombine_dispatch(rho, cfg, backend, workers, stats)
+    cands = BACKENDS[backend](rho, cfg.eps, stats.recombine)
     stats.recombine_seconds += time.perf_counter() - t0
 
     patterns = cands.nontrivial()
@@ -382,8 +375,8 @@ def _factor_monic_squarefree(
             continue
         rest = divide_exact(p, q)
         stats.verify_seconds += time.perf_counter() - t0
-        return _factor_monic_squarefree(q, cfg, backend, workers, stats) + _factor_monic_squarefree(
-            rest, cfg, backend, workers, stats
+        return _factor_monic_squarefree(q, cfg, backend, stats) + _factor_monic_squarefree(
+            rest, cfg, backend, stats
         )
     stats.verify_seconds += time.perf_counter() - t0
     return [p]

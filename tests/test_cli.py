@@ -125,8 +125,8 @@ def test_factor_width_exit_code(capsys):
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_factor_width_exit_code_any_worker_count(workers, capsys):
-    # --workers 1 runs serial backend e, --workers 2 the threaded one; both
-    # must report the same width error whatever the host's CPU count
+    # every worker count must report the same width error, whatever the
+    # host's CPU count
     import random
 
     rng = random.Random(0)

@@ -171,30 +171,54 @@ def test_recombine_b_oracle_and_visit_savings():
         assert sb.visited < sa.visited
 
 
-def test_recombine_b_python_fallback_parity(monkeypatch):
-    import polyfactor.recombine as rc
+def _parity_vectors(seed: int):
+    """(values, eps) over n = 2..24 and eps 1e-3/1e-6/1e-9: random values,
+    all zeros, values on a 1/8 lattice, and values 1e-13 from 0 or 1. The
+    zero and lattice kinds stop at n = 14, since about 2^n / 8 of their
+    patterns are candidates."""
+    rng = random.Random(seed)
+    kinds = [
+        lambda n: [rng.random() for _ in range(n)],
+        lambda n: [0.0] * n,
+        lambda n: [rng.randrange(8) / 8 for _ in range(n)],
+        lambda n: [rng.choice([1e-13, 1.0 - 1e-13, rng.random()]) for _ in range(n)],
+    ]
+    for n in (2, 3, 5, 8, 11, 14, 17, 20, 24):
+        for i, kind in enumerate(kinds):
+            if n <= 14 or i in (0, 3):
+                yield kind(n), (1e-3, 1e-6, 1e-9)[(n + i) % 3]
 
-    rng = random.Random(12)
-    rho = rv(sorted(rng.random() for _ in range(14)))
-    jit = recombine_b(rho, EPS).patterns
-    monkeypatch.setattr(rc, "_numba_checked", True)
-    monkeypatch.setattr(rc, "_JIT", {})
-    st = RecombineStats()
-    pure = recombine_b(rho, EPS, st).patterns
-    assert pure == jit
-    assert st.visited > 0
+
+def _serial_e_reference(rho: RhoVector, eps: float) -> RecombineStats:
+    """Backend e's counters from the single-op table process: insert() every
+    high-half value in pattern order, then walk the table once per low-half
+    pattern with _probe_window."""
+    from polyfactor.recombine import GUARD, _probe_window
+
+    na = len(rho) // 2
+    lo, hi = subset_sums(rho.values[:na]), subset_sums(rho.values[na:])
+    lo -= np.floor(lo)
+    hi -= np.floor(hi)
+    st = RecombineStats(visited=len(lo) + len(hi))
+    tab = empty_table(len(rho) - na)
+    for s, x in enumerate(hi.tolist()):
+        insert(x, s, tab, st)
+    vals, pats = tab.values.tolist(), tab.patterns.tolist()
+    for x in lo.tolist():
+        _, probes = _probe_window(vals, pats, tab.capacity, (1.0 - x) % 1.0, eps + GUARD)
+        st.queries += 1
+        st.query_probes += probes
+    return st
 
 
-def test_recombine_e_python_fallback_parity(monkeypatch):
-    import polyfactor.recombine as rc
-
-    rng = random.Random(33)
-    vectors = [sorted(rng.random() for _ in range(n)) for n in (9, 14, 17)]
-    jit = [recombine_e(rv(v), EPS).patterns for v in vectors]
-    monkeypatch.setattr(rc, "_numba_checked", True)
-    monkeypatch.setattr(rc, "_JIT", {})
-    pure = [recombine_e(rv(v), EPS).patterns for v in vectors]
-    assert pure == jit
+def test_recombine_e_reference_parity():
+    # backend e's window queries give backend a's set, and its five counters
+    # equal those of the serial table process they replace
+    for vals, eps in _parity_vectors(33):
+        rho = rv(vals)
+        st = RecombineStats()
+        assert recombine_e(rho, eps, st).patterns == recombine_a(rho, eps).patterns
+        assert st == _serial_e_reference(rho, eps), (vals, eps)
 
 
 def test_jump_soundness_exhaustive():
@@ -352,6 +376,33 @@ def test_splat_content_equals_expand():
         assert sorted(zip(cv.tolist(), cp.tolist())) == sorted(
             zip(dense.values.tolist(), dense.patterns.tolist())
         )
+
+
+def test_splat_matches_insert_loop():
+    # the computed layout is the serial insert() loop's, cell for cell, with
+    # the same probe count; equal values sit in pattern order, so with ties
+    # only the values per cell and the content are compared
+    rng = random.Random(23)
+    halves = [[rng.random() for _ in range(rng.randint(1, 11))] for _ in range(20)]
+    halves += [[0.0] * 9, [0.5] * 7, [0.25, 0.5, 0.75, 0.125] * 2]
+    halves += [[1.0 - 10.0 ** -rng.randint(2, 13) for _ in range(8)] for _ in range(10)]
+    halves += [[0.9956, 0.97, 0.93, 0.9, 0.6, 0.55, 0.5, 0.0007]]
+    for vals in halves:
+        half = rv(vals)
+        st = RecombineStats()
+        got = splat(half, st)
+        ref, ref_st = empty_table(len(vals)), RecombineStats()
+        sums = subset_sums(vals)
+        sums -= np.floor(sums)
+        for s, x in enumerate(sums.tolist()):
+            insert(x, s, ref, ref_st)
+        assert got.values.tolist() == ref.values.tolist()
+        assert st.insert_probes == ref_st.insert_probes
+        assert st.inserts == ref_st.inserts == len(sums)
+        for a, b in zip(got.content(), ref.content()):
+            assert a.tolist() == b.tolist()
+        if len(set(sums.tolist())) == len(sums):
+            assert got.patterns.tolist() == ref.patterns.tolist()
 
 
 def test_splat_compact_is_sorted_with_wraparound():

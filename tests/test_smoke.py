@@ -1,0 +1,45 @@
+"""Whole-program smoke tests in fresh interpreters: the set-up cost of a
+first small factor() call, and every demo script running to completion."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("0[1-5]_*.py"))
+
+
+def _env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def test_first_small_factor_skips_numpy_ma():
+    # numpy.ma is imported lazily by some numpy functions (np.unique among
+    # them) and costs a first call ~15 ms; the small-input path must not
+    # pull it in
+    probe = (
+        "import sys; from polyfactor import IntPolynomial, factor; "
+        "res = factor(IntPolynomial([-2, -2, -1, 1, 1])); "
+        "assert len(res.factors) == 2 and res.certificate; "
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=_env(), capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_all_five_demos_found():
+    assert [p.name[:2] for p in DEMOS] == ["01", "02", "03", "04", "05"]
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(demo):
+    proc = subprocess.run(
+        [sys.executable, str(demo)], env=_env(), capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
