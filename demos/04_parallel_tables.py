@@ -1,38 +1,51 @@
-"""Concurrent table building: many writers, no locks, nothing lost.
+"""Threaded table building: per-worker sorted runs merge into the serial table.
 
-The shared table's only mutations are indivisible claim-if-empty and
-remove-and-own operations, so racing workers can interleave arbitrarily and
-the final content still equals the serial build's. Run:
+Each worker stable-sorts the subset sums of its own pattern range; one stable
+sort merges the runs, and splat's layout places them. The result is the
+serial splat table cell for cell, whatever the worker count, and the threaded
+sweep finds the serial candidates with the serial counters. Run:
 python demos/04_parallel_tables.py
 """
 import random
-import sys
 
 import numpy as np
 
 from polyfactor import (
+    RecombineStats,
     RhoVector,
     factor,
     gen_random_reducible,
     parallel_build,
+    parallel_recombine_e,
+    recombine_e,
     splat,
 )
-
-sys.setswitchinterval(1e-5)  # force frequent thread preemption
 
 rng = random.Random(1)
 rho = RhoVector.from_values([rng.random() for _ in range(14)])
 serial = splat(rho)
-sv, sp = serial.content()
 
-print("width-14 instance, 16384 insertions, yield injection on:")
+print("width-14 half, 16384 values, table capacity 32768:")
 for workers in (1, 2, 4, 8):
-    tab = parallel_build(rho, workers=workers, yield_every=5)
-    pv, pp = tab.content()
-    same = np.array_equal(pv, sv) and np.array_equal(pp, sp)
+    tab = parallel_build(rho, workers=workers)
+    same = np.array_equal(tab.values, serial.values) and np.array_equal(
+        tab.patterns, serial.patterns
+    )
     print(
-        f"  workers={workers}: occupied {tab.occupied():,} / expected {1 << 14:,}, "
-        f"content == serial: {same}"
+        f"  workers={workers}: {workers} sorted run(s), occupied {tab.occupied():,} "
+        f"/ expected {1 << 14:,}, table == serial splat cell for cell: {same}"
+    )
+
+full = RhoVector.from_values([rng.random() for _ in range(24)])
+ser_stats = RecombineStats()
+want = recombine_e(full, 1e-6, ser_stats)
+print(f"\nn=24 search, serial backend e: {len(want)} candidates, {ser_stats}")
+for workers in (2, 4):
+    st = RecombineStats()
+    got = parallel_recombine_e(full, 1e-6, workers, st)
+    print(
+        f"  workers={workers}: same candidates {got.patterns == want.patterns}, "
+        f"same counters {st == ser_stats}"
     )
 
 p = gen_random_reducible(24, 100, seed=3)

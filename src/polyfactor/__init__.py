@@ -59,9 +59,7 @@ from .rootfinder import (
     profile_polynomial,
 )
 from .parallel import (
-    SharedValueTable,
     parallel_build,
-    parallel_insert,
     parallel_query_sweep,
     parallel_recombine_e,
 )

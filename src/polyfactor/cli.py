@@ -1,13 +1,12 @@
 """Command-line surface: factor, bench, gen, selftest.
 
-Exit codes: 0 ok, 2 parse error, 3 root non-convergence, 4 pattern width
-exceeded, 5 selftest failure.
+Exit codes: 0 ok, 2 parse or argument error, 3 root non-convergence,
+4 pattern width exceeded, 5 selftest failure.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 import time
@@ -19,6 +18,7 @@ from .polynomial import (
     gen_random_reducible_parts,
     gen_swinnerton_dyer,
 )
+from .recombine import BACKENDS
 from .rootfinder import ToleranceConfig, find_roots
 from .verify import factor
 
@@ -110,10 +110,18 @@ def _build_cfg(args) -> ToleranceConfig:
     return ToleranceConfig(eps=args.eps, precision=args.precision)
 
 
-def _default_workers() -> int:
-    """POLYFACTOR_WORKERS, else 1. The count is validated and reported;
-    every count runs the same serial recombination core."""
-    return max(1, int(os.environ.get("POLYFACTOR_WORKERS") or 1))
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return value
+
+
+def _eps(text: str) -> float:
+    try:
+        return ToleranceConfig(eps=float(text)).eps
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def cmd_factor(args) -> int:
@@ -121,6 +129,9 @@ def cmd_factor(args) -> int:
         p = parse_polynomial(args.polynomial)
     except PolynomialParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    if p.is_constant():
+        print("parse error: factor requires a non-constant polynomial", file=sys.stderr)
         return EXIT_PARSE
     cfg = _build_cfg(args)
     try:
@@ -178,8 +189,21 @@ def _parse_degrees(spec: str) -> list[int]:
         parts = [int(t) for t in spec.split(":")]
         lo, hi = parts[0], parts[1]
         step = parts[2] if len(parts) > 2 else 4
-        return list(range(lo, hi + 1, step))
-    return [int(t) for t in spec.split(",")]
+        degrees = list(range(lo, hi + 1, step))
+    else:
+        degrees = [int(t) for t in spec.split(",")]
+    for d in degrees:
+        if d % 2 or d < 4:
+            raise argparse.ArgumentTypeError(f"degrees must be even and at least 4, got {d}")
+    return degrees
+
+
+def _parse_backends(spec: str) -> list[str]:
+    backends = spec.split(",")
+    for name in backends:
+        if name not in BACKENDS:
+            raise argparse.ArgumentTypeError(f"unknown backend {name!r}, expected one of a,b,c,d,e")
+    return backends
 
 
 def bench_rows(degrees, backends, trials, seed, workers, include_roots=False, cfg=None):
@@ -212,8 +236,6 @@ def bench_rows(degrees, backends, trials, seed, workers, include_roots=False, cf
 
 
 def cmd_bench(args) -> int:
-    degrees = _parse_degrees(args.degrees)
-    backends = args.backends.split(",")
     sink = open(args.csv, "w") if args.csv else None
 
     def emit(line: str) -> None:
@@ -224,7 +246,7 @@ def cmd_bench(args) -> int:
     emit(CSV_HEADER)
     try:
         for row in bench_rows(
-            degrees, backends, args.trials, args.seed, args.workers, args.include_roots
+            args.degrees, args.backends, args.trials, args.seed, args.workers, args.include_roots
         ):
             emit(row.to_csv())
     except WidthExceeded as exc:
@@ -237,10 +259,10 @@ def cmd_bench(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    if args.kind == "swinnerton":
-        print(gen_swinnerton_dyer(args.k).to_text())
-        return EXIT_OK
     try:
+        if args.kind == "swinnerton":
+            print(gen_swinnerton_dyer(args.k).to_text())
+            return EXIT_OK
         f, g = gen_random_reducible_parts(args.d, args.coeff_bound, args.seed)
     except ValueError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
@@ -267,7 +289,7 @@ def run_selftest(level: str = "quick", inject_fault: bool = False) -> bool:
     import numpy as np
 
     from .parallel import parallel_build, serial_reference_table
-    from .recombine import BACKENDS, RecombineStats, RhoVector, splat_cost_bounds, splat
+    from .recombine import RecombineStats, RhoVector, splat_cost_bounds, splat
 
     failures = 0
 
@@ -334,8 +356,14 @@ def run_selftest(level: str = "quick", inject_fault: bool = False) -> bool:
     return failures == 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        """One stderr line and exit code 2 for any bad argument."""
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="polyfactor",
         description="Factor integer polynomials by recombination of their real roots.",
     )
@@ -344,19 +372,23 @@ def build_parser() -> argparse.ArgumentParser:
     f = sub.add_parser("factor", help="factor one polynomial")
     f.add_argument("polynomial", help='coefficient list "1 0 -10 0 1" or symbolic "x^4-10*x^2+1"')
     f.add_argument("--backend", choices=list("abcde"), default="e")
-    f.add_argument("--eps", type=float, default=1e-6)
+    f.add_argument("--eps", type=_eps, default=1e-6)
     f.add_argument("--precision", choices=["auto", "double", "extended"], default="auto")
-    f.add_argument("--workers", type=int, default=_default_workers())
+    f.add_argument("--workers", type=_positive_int, default=1)
     f.add_argument("--json", action="store_true", help="machine-readable output")
     f.add_argument("--dump-roots", metavar="PATH", help="write roots as CSV (re,im)")
     f.set_defaults(fn=cmd_factor)
 
     b = sub.add_parser("bench", help="benchmark recombination on random reducible inputs")
-    b.add_argument("--degrees", default="8:40:4", help='"8:40:4" range or "8,12,16" list')
-    b.add_argument("--backends", default="e", help="comma list from a,b,c,d,e")
+    b.add_argument(
+        "--degrees", type=_parse_degrees, default="8:40:4", help='"8:40:4" range or "8,12,16" list'
+    )
+    b.add_argument(
+        "--backends", type=_parse_backends, default="e", help="comma list from a,b,c,d,e"
+    )
     b.add_argument("--trials", type=int, default=3)
     b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--workers", type=int, default=1)
+    b.add_argument("--workers", type=_positive_int, default=1)
     b.add_argument(
         "--include-roots",
         action="store_true",

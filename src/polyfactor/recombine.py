@@ -416,19 +416,14 @@ def _splat_cells(vs: np.ndarray, k: int) -> tuple[np.ndarray, int]:
     return cells, len(vs) + int(np.sum((cells - home) % k))
 
 
-def splat(rho_half: RhoVector, stats: RecombineStats | None = None) -> ValueTable:
-    """Distribution-sort all half-pattern values into a table of twice their
-    count; expected constant probes per insertion at this fill ratio.
-
-    The table is the one the insert() loop over patterns 0, 1, 2, ... builds,
-    cell for cell, except that equal values sit in pattern order (the serial
-    carries leave them in an order that depends on their history); content()
-    and the probe count are the same either way."""
+def _splat_table(rho_half: RhoVector, argsort, stats: RecombineStats | None) -> ValueTable:
+    """splat's table, with the half-pattern values ordered by argsort(sums),
+    which must equal np.argsort(sums, kind="stable")."""
     m = len(rho_half)
     if m > 31:
         raise WidthExceeded(f"splat handles half widths <= 31, got {m}")
     sums = _fractional_sums(rho_half.values)
-    order = np.argsort(sums, kind="stable")
+    order = argsort(sums)
     k = 2 * len(sums)
     cells, probes = _splat_cells(sums[order], k)
     values = np.full(k, EMPTY, dtype=np.float64)
@@ -440,6 +435,17 @@ def splat(rho_half: RhoVector, stats: RecombineStats | None = None) -> ValueTabl
         stats.insert_probes += probes
         stats.visited += len(sums)
     return ValueTable(values=values, patterns=patterns, width=m, sparse=True)
+
+
+def splat(rho_half: RhoVector, stats: RecombineStats | None = None) -> ValueTable:
+    """Distribution-sort all half-pattern values into a table of twice their
+    count; expected constant probes per insertion at this fill ratio.
+
+    The table is the one the insert() loop over patterns 0, 1, 2, ... builds,
+    cell for cell, except that equal values sit in pattern order (the serial
+    carries leave them in an order that depends on their history); content()
+    and the probe count are the same either way."""
+    return _splat_table(rho_half, lambda sums: np.argsort(sums, kind="stable"), stats)
 
 
 def _probe_window(values, patterns, k: int, t: float, eps: float, first_only: bool = False):
@@ -610,6 +616,15 @@ def _query_probes(cells: np.ndarray, k: int, ts: np.ndarray, eps: float) -> int:
     return len(ts) + int(span.sum()) + int((next_free[end] - end).sum())
 
 
+def _sorted_targets(rho_low) -> tuple[np.ndarray, np.ndarray]:
+    """Window-query targets (1 - x) mod 1 of every low-half pattern value x,
+    sorted, and the patterns in that order."""
+    t = 1.0 - _fractional_sums(rho_low)
+    t[t == 1.0] = 0.0  # (1 - x) % 1.0, bit for bit
+    qorder = np.argsort(t)
+    return qorder, t[qorder]
+
+
 def recombine_e(rho: RhoVector, eps: float, stats: RecombineStats | None = None) -> CandidateSet:
     """Sort the high half's values once and find every low-half pattern's
     partners with window queries against them.
@@ -624,13 +639,9 @@ def recombine_e(rho: RhoVector, eps: float, stats: RecombineStats | None = None)
     na = n // 2
     eps_d = eps + GUARD
     bsums = _fractional_sums(rho.values[na:])
-    asums = _fractional_sums(rho.values[:na])
     border = np.argsort(bsums)
     vs = bsums[border]
-    t = 1.0 - asums
-    t[t == 1.0] = 0.0  # (1 - x) % 1.0, bit for bit
-    qorder = np.argsort(t)
-    ts = t[qorder]
+    qorder, ts = _sorted_targets(rho.values[:na])
     qi, vj = _window_pairs(ts, vs, eps_d)
     raw = qorder[qi] | (border[vj] << na)
     if stats is not None:
@@ -638,8 +649,8 @@ def recombine_e(rho: RhoVector, eps: float, stats: RecombineStats | None = None)
         cells, insert_probes = _splat_cells(vs, k)
         stats.inserts += len(bsums)
         stats.insert_probes += insert_probes
-        stats.visited += len(bsums) + len(asums)
-        stats.queries += len(asums)
+        stats.visited += len(bsums) + len(ts)
+        stats.queries += len(ts)
         stats.query_probes += _query_probes(cells, k, ts, eps_d)
     return CandidateSet(_canonical_filter(raw, rho, eps), n)
 

@@ -178,7 +178,11 @@ def _newton_polish(c: np.ndarray, z: np.ndarray, rounds: int = 2) -> np.ndarray:
     return z
 
 
-def _symmetrize(z: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
+def _pair_conjugates(z: np.ndarray, cfg: ToleranceConfig) -> tuple[np.ndarray, list[complex]]:
+    """Sorted real parts of the (near-)real roots, and one averaged
+    upper-half-plane representative per conjugate pair, in the order of the
+    upper roots sorted by (real, imag). Raises UnpairedComplexRoot when a
+    complex root has no partner within tolerance."""
     scale = np.maximum(1.0, np.abs(z))
     real_mask = np.abs(z.imag) <= cfg.imag_threshold * scale
     reals = np.sort(z.real[real_mask])
@@ -194,8 +198,12 @@ def _symmetrize(z: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
         partner = lowers.pop(best)
         if abs(partner - target) > 1e-6 * max(1.0, abs(u)):
             raise UnpairedComplexRoot(f"no conjugate partner for root {u}")
-        avg = (u + partner.conjugate()) / 2
-        pairs.append(avg)
+        pairs.append((u + partner.conjugate()) / 2)
+    return reals, pairs
+
+
+def _symmetrize(z: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
+    reals, pairs = _pair_conjugates(z, cfg)
     pairs.sort(key=lambda w: (w.real, w.imag))
     out = np.empty(len(z), dtype=np.complex128)
     out[: len(reals)] = reals
@@ -213,27 +221,9 @@ def build_profile(roots: np.ndarray, cfg: ToleranceConfig | None = None) -> Root
     has no partner within tolerance.
     """
     cfg = cfg or ToleranceConfig()
-    z = np.asarray(roots, dtype=np.complex128)
-    scale = np.maximum(1.0, np.abs(z))
-    real_mask = np.abs(z.imag) <= cfg.imag_threshold * scale
-    reals = np.sort(z.real[real_mask])
-    rest = list(z[~real_mask])
-    uppers = sorted((w for w in rest if w.imag > 0), key=lambda w: (w.real, w.imag))
-    lowers = [w for w in rest if w.imag <= 0]
-    if len(uppers) != len(lowers):
-        raise UnpairedComplexRoot(f"{len(uppers)} upper vs {len(lowers)} lower half-plane roots")
-    sums, prods = [], []
-    for u in uppers:
-        target = u.conjugate()
-        if not lowers:
-            raise UnpairedComplexRoot(f"no conjugate partner for root {u}")
-        best = min(range(len(lowers)), key=lambda i: abs(lowers[i] - target))
-        partner = lowers.pop(best)
-        if abs(partner - target) > 1e-6 * max(1.0, abs(u)):
-            raise UnpairedComplexRoot(f"no conjugate partner for root {u}")
-        w = (u + partner.conjugate()) / 2
-        sums.append(float(2.0 * w.real))
-        prods.append(float(abs(w) ** 2))
+    reals, pairs = _pair_conjugates(np.asarray(roots, dtype=np.complex128), cfg)
+    sums = [float(2.0 * w.real) for w in pairs]
+    prods = [float(abs(w) ** 2) for w in pairs]
 
     entries = [(frac(u), i) for i, u in enumerate(reals)]
     entries += [(frac(s), len(reals) + j) for j, s in enumerate(sums)]

@@ -301,8 +301,8 @@ def factor(
     flag is set by exact re-multiplication of the output.
 
     `workers` is validated and recorded in the stats; every worker count
-    runs the same serial recombination (the threaded table in `parallel`
-    stays available on its own but is slower under the GIL).
+    runs the same serial recombination (the threaded build and sweep in
+    `parallel` give the same candidates and stay available on their own).
     """
     cfg = cfg or ToleranceConfig()
     if backend not in BACKENDS:

@@ -231,20 +231,33 @@ def test_bench_rejects_odd_degree():
         list(bench_rows([7], ["e"], 1, 0, 1))
 
 
-def test_workers_default_is_one(monkeypatch):
+def test_workers_default_is_one():
     from polyfactor.cli import build_parser
 
-    monkeypatch.delenv("POLYFACTOR_WORKERS", raising=False)
     args = build_parser().parse_args(["factor", "x^2-1"])
     assert args.workers == 1
 
 
-def test_workers_environment_override(monkeypatch):
-    from polyfactor.cli import build_parser
-
-    monkeypatch.setenv("POLYFACTOR_WORKERS", "6")
-    args = build_parser().parse_args(["factor", "x^2-1"])
-    assert args.workers == 6
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["factor", "x^2-1", "--workers", "0"],
+        ["factor", "x^2-1", "--eps", "0.7"],
+        ["factor", "x^2-1", "--eps", "nan"],
+        ["factor", "5"],
+        ["bench", "--degrees", "9"],
+        ["bench", "--backends", "z"],
+        ["gen", "swinnerton", "--k", "0"],
+    ],
+)
+def test_argument_errors_exit_2_with_one_line(argv, capsys):
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse rejects the value
+        rc = exc.code
+    err = capsys.readouterr().err
+    assert rc == EXIT_PARSE
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
 
 def test_selftest_quick_passes(capsys):

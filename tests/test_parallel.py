@@ -1,20 +1,17 @@
 import random
-import sys
 
 import numpy as np
 import pytest
 
 from polyfactor.errors import WidthExceeded
 from polyfactor.parallel import (
-    SharedValueTable,
     parallel_build,
-    parallel_insert,
     parallel_query_sweep,
     parallel_recombine_e,
     serial_reference_table,
 )
 from polyfactor.polynomial import IntPolynomial, gen_random_reducible
-from polyfactor.recombine import RecombineStats, RhoVector, recombine_e
+from polyfactor.recombine import RecombineStats, RhoVector, ValueTable, recombine_e
 from polyfactor.verify import factor
 
 
@@ -23,18 +20,22 @@ def rho_of(seed: int, n: int) -> RhoVector:
     return RhoVector.from_values([rng.random() for _ in range(n)])
 
 
-def contents_equal(tab: SharedValueTable, ref) -> bool:
+def contents_equal(tab: ValueTable, ref) -> bool:
     pv, pp = tab.content()
     sv, sp = ref.content()
     return np.array_equal(pv, sv) and np.array_equal(pp, sp)
 
 
 def test_single_worker_matches_serial_cell_for_cell():
-    rho = rho_of(1, 12)
-    tab = parallel_build(rho, workers=1)
-    ser = serial_reference_table(rho)
-    assert np.array_equal(tab.values, ser.values)
-    assert np.array_equal(tab.patterns, ser.patterns)
+    # and so do 2, 4 and 8 workers; the 1/8 lattice gives runs of equal
+    # values, which must keep splat's pattern order
+    lattice = RhoVector.from_values([random.Random(1).randrange(8) / 8 for _ in range(12)])
+    for rho in (rho_of(1, 12), lattice):
+        ser = serial_reference_table(rho)
+        for workers in (1, 2, 4, 8):
+            tab = parallel_build(rho, workers=workers)
+            assert np.array_equal(tab.values, ser.values)
+            assert np.array_equal(tab.patterns, ser.patterns)
 
 
 def test_two_workers_disjoint_values_none_lost():
@@ -46,16 +47,11 @@ def test_two_workers_disjoint_values_none_lost():
 
 @pytest.mark.parametrize("workers", [2, 4, 8])
 def test_racing_workers_content_multiset(workers):
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)  # force frequent preemption
-    try:
-        for seed in range(6):
-            rho = rho_of(seed, 11)
-            tab = parallel_build(rho, workers=workers, yield_every=7)
-            assert tab.occupied() == 1 << 11
-            assert contents_equal(tab, serial_reference_table(rho))
-    finally:
-        sys.setswitchinterval(old)
+    for seed in range(6):
+        rho = rho_of(seed, 11)
+        tab = parallel_build(rho, workers=workers)
+        assert tab.occupied() == 1 << 11
+        assert contents_equal(tab, serial_reference_table(rho))
 
 
 def test_insert_probe_stats_accumulate():
@@ -66,22 +62,10 @@ def test_insert_probe_stats_accumulate():
     assert stats.insert_probes >= stats.inserts
 
 
-def test_direct_parallel_insert_contract():
-    table = SharedValueTable(capacity=16, width=3, rho_half=np.zeros(3))
-    parallel_insert(0.5, 1, table)
-    parallel_insert(0.5, 2, table)
-    parallel_insert(0.45, 3, table)
-    assert table.occupied() == 3
-    table.publish()
-    stored = sorted((v, p) for v, p in table.cells.values())
-    assert stored == [(0.45, 3), (0.5, 1), (0.5, 2)]
-
-
 def test_publish_freezes_readable_arrays():
     rho = rho_of(4, 8)
-    tab = parallel_build(rho, workers=2)
-    assert tab.published
-    vt = tab.as_value_table()
+    vt = parallel_build(rho, workers=2)
+    assert isinstance(vt, ValueTable)
     assert vt.sparse and vt.capacity == 2 << 8
     assert int(np.count_nonzero(vt.values >= 0)) == 1 << 8
 
@@ -92,13 +76,11 @@ def test_query_sweep_matches_serial_backend():
         n = 18
         vals = sorted(rng.random() for _ in range(n))
         rho = RhoVector.from_values(vals)
-        na = n // 2
-        rho_a = RhoVector.from_values(rho.values[:na])
-        rho_b = RhoVector.from_values(rho.values[na:])
-        tab = parallel_build(rho_b, workers=4)
-        before = tab.checksum()
-        got = parallel_query_sweep(rho_a, tab, 1e-6, workers=4)
-        assert tab.checksum() == before  # read-only phase
+        tab = parallel_build(RhoVector.from_values(rho.values[n // 2 :]), workers=4)
+        before = (tab.values.copy(), tab.patterns.copy())
+        got = parallel_query_sweep(rho, tab, 1e-6, workers=4)
+        assert np.array_equal(tab.values, before[0])  # read-only phase
+        assert np.array_equal(tab.patterns, before[1])
         assert got.patterns == recombine_e(rho, 1e-6).patterns
 
 
@@ -106,6 +88,20 @@ def test_query_sweep_matches_serial_backend():
 def test_parallel_recombine_matches_serial(workers):
     rho = RhoVector.from_values(sorted(random.Random(31).random() for _ in range(20)))
     assert parallel_recombine_e(rho, 1e-6, workers).patterns == recombine_e(rho, 1e-6).patterns
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_parallel_counters_equal_serial(workers):
+    # the table and the sweep count what serial backend e counts: the same
+    # splat inserts and probes, the same window queries and probe walks
+    for seed, n in [(seed, n) for seed in range(4) for n in (4, 9, 16, 24)]:
+        rho = rho_of(seed, n)
+        for eps in (1e-3, 1e-6):
+            ser, par = RecombineStats(), RecombineStats()
+            want = recombine_e(rho, eps, ser)
+            got = parallel_recombine_e(rho, eps, workers, par)
+            assert got.patterns == want.patterns
+            assert par == ser, (seed, n, eps)
 
 
 def test_empty_candidate_instance():
@@ -157,9 +153,18 @@ def test_worker_validation():
     tab = parallel_build(rho, workers=1)
     with pytest.raises(ValueError):
         parallel_query_sweep(rho, tab, 1e-6, workers=0)
+    with pytest.raises(ValueError):  # a table of all of rho, not its high half
+        parallel_query_sweep(rho, tab, 1e-6, workers=1)
 
 
-def test_sweep_requires_published_table():
-    tab = SharedValueTable(capacity=8, width=2, rho_half=np.zeros(2))
-    with pytest.raises(RuntimeError):
-        parallel_query_sweep(rho_of(7, 2), tab, 1e-6, workers=1)
+def test_worker_exception_reaches_the_caller():
+    from polyfactor.parallel import _in_threads
+
+    def fail_second(lo, hi):
+        if lo:
+            raise ZeroDivisionError("worker failed")
+        return hi
+
+    with pytest.raises(ZeroDivisionError):
+        _in_threads(fail_second, 4, 2)
+    assert _in_threads(lambda lo, hi: (lo, hi), 5, 2) == [(0, 3), (3, 5)]

@@ -122,6 +122,17 @@ def test_profile_negative_pair_sum():
     assert prof.pair_products.tolist() == pytest.approx([0.125**2 + 0.64], abs=1e-12)
 
 
+def test_profile_of_inexact_conjugates():
+    # a pair 1e-10 off conjugacy is averaged to 1 + 2.00000000005i; a real
+    # root with a 1e-12 imaginary part counts as real
+    prof = build_profile(np.array([1 + 2j, 1 - 2.0000000001j, 3, -1.5 + 1e-12j]), CFG)
+    assert prof.real_roots.tolist() == [-1.5, 3.0]
+    assert prof.pair_sums.tolist() == [2.0]
+    assert prof.pair_products.tolist() == [float.fromhex("0x1.4000000036f9bp+2")]
+    assert prof.rho.tolist() == [0.0, 0.0, 0.5]
+    assert prof.perm == (1, 2, 0)
+
+
 def test_profile_unpaired_root_raises():
     with pytest.raises(UnpairedComplexRoot):
         build_profile(np.array([1.0 + 1.0j, 2.0 - 1.0j, 0.5]), CFG)

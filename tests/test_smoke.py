@@ -33,6 +33,21 @@ def test_first_small_factor_skips_numpy_ma():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_benchmark_entry_points():
+    # perfbench/run.py imports polyfactor.parallel and calls factor() with
+    # the worker count as the fourth positional argument
+    import importlib
+
+    from polyfactor import IntPolynomial, factor
+    from polyfactor.rootfinder import ToleranceConfig
+
+    importlib.import_module("polyfactor.parallel")
+    p = IntPolynomial([-2, 0, 1]) * IntPolynomial([1, 1, 1])
+    res = factor(p, ToleranceConfig(eps=1e-9), "e", 2)
+    assert res.factors == ((IntPolynomial([-2, 0, 1]), 1), (IntPolynomial([1, 1, 1]), 1))
+    assert res.certificate
+
+
 def test_all_five_demos_found():
     assert [p.name[:2] for p in DEMOS] == ["01", "02", "03", "04", "05"]
 
