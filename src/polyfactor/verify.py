@@ -1,13 +1,14 @@
 """Candidate verification and the top-level factorization driver.
 
 A pattern from the recombination stage is only a hint: its selected roots sum
-to nearly an integer. Verification first screens all patterns at once by
+to nearly an integer. Verification screens all patterns at once by
 integrality of their power-sum traces (one matrix product per chunk of
-patterns), then rebuilds the real factor of each survivor, repeats the trace
-test on it, rounds the coefficients, and finally demands an exact integer
-division of the input. Nothing floating ever reaches the output; a
-factorization is shipped with a certificate obtained by exact
-re-multiplication.
+patterns), then rebuilds the real factor of each survivor, rounds its
+coefficients, and demands an exact integer division. Each square-free part
+gets one root finding and one recombination; a single walk over the screened
+candidates, in order of factor degree, divides out every confirmed factor.
+Nothing floating ever reaches the output; a factorization is shipped with a
+certificate obtained by exact re-multiplication.
 """
 from __future__ import annotations
 
@@ -158,9 +159,12 @@ def trace_test(cand: CandidateFactor, eps: float) -> bool:
     return True
 
 
-def round_and_divide(cand: CandidateFactor, p: IntPolynomial, eps: float) -> IntPolynomial | None:
-    """Round the candidate's coefficients to integers and demand an exact
-    division of p. None (rejection) is the normal fate of spurious patterns.
+def round_and_divide(
+    cand: CandidateFactor, p: IntPolynomial, eps: float
+) -> tuple[IntPolynomial, IntPolynomial] | None:
+    """Round the candidate's coefficients to integers q and demand an exact
+    division of p; return (q, p / q). None (rejection) is the normal fate of
+    spurious patterns.
 
     Coefficient k sums products of e - k roots, so its float error is at most
     (e - k) * (size of its terms) * (per-root error budget), the budget of the
@@ -179,7 +183,8 @@ def round_and_divide(cand: CandidateFactor, p: IntPolynomial, eps: float) -> Int
     q = IntPolynomial(rounded)
     if q.degree < 1:
         return None
-    return q if divide_exact(p, q) is not None else None
+    rest = divide_exact(p, q)
+    return None if rest is None else (q, rest)
 
 
 def _trace_tables(profile: RootProfile, e_max: int) -> tuple[list[int], np.ndarray, np.ndarray]:
@@ -219,15 +224,16 @@ def _trace_tables(profile: RootProfile, e_max: int) -> tuple[list[int], np.ndarr
 
 
 def screen_candidates(patterns, profile: RootProfile, eps: float):
-    """Yield (pattern, passed) for every pattern, in (selected degree,
-    pattern) order, where passed is trace_test(build_candidate(s), eps).
+    """Yield (pattern, degree, passed) for every pattern, in (degree,
+    pattern) order, where degree is selected_degree(s) and passed is
+    trace_test(build_candidate(s), eps).
 
     The scales of a whole chunk of patterns are one product of its bit matrix
     with the scale table of _trace_tables; the traces of the orders some
     pattern consults under trace_test's rule are a second product, with the
     power-sum table. Both sum in build_candidate's order, and the rule is
     applied unchanged. Chunks are screened lazily, so a caller that stops at
-    the first confirmed factor never screens the chunks after it."""
+    some degree never screens the chunks after it."""
     pats = np.fromiter(patterns, dtype=np.uint64, count=len(patterns))
     if not len(pats):
         return
@@ -255,12 +261,18 @@ def screen_candidates(patterns, profile: RootProfile, eps: float):
         traces = sel @ powers[:, used]
         off = np.abs((traces - np.rint(traces)).astype(np.float64)) >= eps
         passed = ~np.any(off & consult[:, used], axis=1)
-        yield from zip(pats[start:stop].tolist(), passed.tolist())
+        yield from zip(pats[start:stop].tolist(), degrees[start:stop].tolist(), passed.tolist())
 
 
 @dataclass
 class FactorStats:
-    """Aggregated per-stage counters for one factor() call."""
+    """Aggregated per-stage counters for one factor() call.
+
+    candidates counts the nontrivial patterns recombination returned.
+    rejected counts the candidates the verification walk reached and turned
+    down (by the trace screen, the rounding gate or exact division); those
+    skipped for sharing roots with a confirmed factor, and those past the
+    walk's degree stop, are not counted."""
 
     backend: str = "e"
     workers: int = 1
@@ -296,8 +308,9 @@ def factor(
     """Full irreducible factorization over the integers.
 
     Normalizes content and leading coefficient, splits off square-free parts,
-    and runs roots -> recombine -> verify on each part, recursing on every
-    confirmed factor until nothing survives verification. The certificate
+    and runs roots -> recombine -> verify once on each part: one walk over
+    the screened candidates in (degree, pattern) order confirms the factors
+    by exact division, and what remains is the last factor. The certificate
     flag is set by exact re-multiplication of the output.
 
     `workers` is validated and recorded in the stats; every worker count
@@ -346,6 +359,16 @@ def _factor_monic_squarefree(
     backend: str,
     stats: FactorStats,
 ) -> list[IntPolynomial]:
+    """Irreducible factors of a monic square-free p from one root finding and
+    one recombination.
+
+    The walk confirms candidates in (degree, pattern) order, so a reducible
+    candidate always comes after its factors, and shares roots with one of
+    them once they are confirmed. _canonical_filter keeps the smaller of a
+    pattern and its complement, so no candidate selects the root of bit
+    n - 1: every factor except the one owning that root is a candidate, and
+    that one is the remainder. A candidate of the remainder's degree or more
+    cannot be a proper factor of it, which ends the walk."""
     if p.degree <= 1:
         return [p]
 
@@ -364,22 +387,23 @@ def _factor_monic_squarefree(
     stats.candidates += len(patterns)
 
     t0 = time.perf_counter()
-    for s, passed in screen_candidates(patterns, profile, cfg.eps):
-        q = None
-        if passed:
-            cand = build_candidate(s, profile)
-            if trace_test(cand, cfg.eps):
-                q = round_and_divide(cand, p, cfg.eps)
-        if q is None:
+    factors: list[IntPolynomial] = []
+    rest = p
+    consumed = 0
+    for s, e, passed in screen_candidates(patterns, profile, cfg.eps):
+        if e >= rest.degree:
+            break
+        if s & consumed:
+            continue
+        found = round_and_divide(build_candidate(s, profile), rest, cfg.eps) if passed else None
+        if found is None:
             stats.rejected += 1
             continue
-        rest = divide_exact(p, q)
-        stats.verify_seconds += time.perf_counter() - t0
-        return _factor_monic_squarefree(q, cfg, backend, stats) + _factor_monic_squarefree(
-            rest, cfg, backend, stats
-        )
+        q, rest = found
+        factors.append(q)
+        consumed |= s
     stats.verify_seconds += time.perf_counter() - t0
-    return [p]
+    return factors + [rest]
 
 
 def is_irreducible(

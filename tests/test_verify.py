@@ -1,9 +1,12 @@
+import functools
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from polyfactor import verify
 from polyfactor.errors import WidthExceeded
 from polyfactor.polynomial import (
     IntPolynomial,
@@ -97,9 +100,7 @@ def test_round_and_divide_accepts_known_factor():
     p = P([-2, 0, -1, 0, 1])  # (x^2 + 1)(x^2 - 2)
     prof = profile_polynomial(p, CFG)
     cand = build_candidate(pattern_for(prof, want_pairs=[0.0]), prof)
-    q = round_and_divide(cand, p, CFG.eps)
-    assert q == P([1, 0, 1])
-    assert divide_exact(p, q) == P([-2, 0, 1])
+    assert round_and_divide(cand, p, CFG.eps) == (P([1, 0, 1]), P([-2, 0, 1]))
 
 
 def test_round_and_divide_rejects_off_grid_coefficient():
@@ -129,7 +130,7 @@ def test_round_and_divide_scales_gate_to_coefficient_size():
         )
 
     p = P([-big, big - 1, 1])  # (x + 2^35)(x - 1)
-    assert round_and_divide(cand(5e-6), p, 1e-6) == P([big, 1])
+    assert round_and_divide(cand(5e-6), p, 1e-6) == (P([big, 1]), P([-1, 1]))
     assert round_and_divide(cand(5e-6), P([big + 1, 1]), 1e-6) is None
     assert round_and_divide(cand(0.45), p, 1e-6) is None
 
@@ -171,19 +172,72 @@ def test_screen_matches_per_candidate_trace_test(kind, size, eps):
     assert patterns
     screened = list(screen_candidates(patterns, prof, eps))
     ordered = sorted(patterns, key=lambda s: (selected_degree(s, prof), s))
-    assert [s for s, _ in screened] == ordered
+    assert [s for s, _, _ in screened] == ordered
+    assert [e for _, e, _ in screened] == [selected_degree(s, prof) for s in ordered]
     want = [trace_test(build_candidate(s, prof), eps) for s in ordered]
-    assert [ok for _, ok in screened] == want
+    assert [ok for _, _, ok in screened] == want
 
 
 def test_screen_keeps_rejection_counts():
-    # every pattern before the first confirmed factor is counted as rejected,
-    # whether the screen, the trace test or the division turned it down
+    # every candidate the walk reaches before the degree stop is counted as
+    # rejected, whether the screen, the rounding gate or the division turned
+    # it down
     f, g = gen_random_reducible_parts(60, 100, seed=606)
     res = factor(f * g)
     assert sorted(q.coeffs for q, _ in res.factors) == sorted([f.coeffs, g.coeffs])
-    assert res.stats.candidates == 17121
-    assert res.stats.rejected == 10106
+    assert res.stats.candidates == 17120
+    assert res.stats.rejected == 10105
+
+
+def x_power_minus_one(k):
+    return P([-1] + [0] * (k - 1) + [1])
+
+
+@functools.cache
+def cyclotomic(d):
+    """Phi_d as x^d - 1 divided by every Phi_e for e a proper divisor of d."""
+    q = x_power_minus_one(d)
+    for e in range(1, d):
+        if d % e == 0:
+            q = divide_exact(q, cyclotomic(e))
+    return q
+
+
+@pytest.mark.parametrize(
+    "p,parts,count",
+    [
+        (x_power_minus_one(24), 1, 8),
+        # ((x^2 + 1)(x - 2))^2 (2x + 1)(x^2 - 2)(x + 3): a squared part of
+        # degree 3 and a non-monic square-free part of degree 4
+        ((P([1, 0, 1]) * P([-2, 1])) ** 2 * P([1, 2]) * P([-2, 0, 1]) * P([3, 1]), 2, 5),
+    ],
+)
+def test_one_root_finding_and_recombination_per_square_free_part(monkeypatch, p, parts, count):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(verify, "find_roots", counted("find_roots", verify.find_roots))
+    backends = {key: counted("recombine", fn) for key, fn in verify.BACKENDS.items()}
+    monkeypatch.setattr(verify, "BACKENDS", backends)
+    res = factor(p)
+    assert res.certificate
+    assert len(res.factors) == count
+    assert calls == {"find_roots": parts, "recombine": parts}
+
+
+@pytest.mark.parametrize("k,count", [(12, 6), (24, 8), (48, 10)])
+def test_x_power_minus_one_splits_into_cyclotomic_factors(k, count):
+    res = factor(x_power_minus_one(k))
+    assert res.certificate
+    want = sorted((cyclotomic(d).coeffs, 1) for d in range(1, k + 1) if k % d == 0)
+    assert len(want) == count
+    assert sorted((q.coeffs, m) for q, m in res.factors) == want
 
 
 def test_factor_difference_of_squares():
@@ -325,7 +379,7 @@ def test_large_true_factor_survives_trace_screen():
         for t in (s, s ^ full):
             cand = build_candidate(t, prof)
             if trace_test(cand, CFG.eps):
-                q = round_and_divide(cand, p, CFG.eps)
-                if q is not None:
-                    matched.append(q)
+                found = round_and_divide(cand, p, CFG.eps)
+                if found is not None:
+                    matched.append(found[0])
     assert sorted(q.coeffs for q in matched) == sorted([f.coeffs, g.coeffs])
