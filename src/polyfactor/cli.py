@@ -173,6 +173,7 @@ def result_to_json(res) -> dict:
             "backend": res.stats.backend,
             "workers": res.stats.workers,
             "n": res.stats.n,
+            "square_free_seconds": res.stats.square_free_seconds,
             "root_seconds": res.stats.root_seconds,
             "recombine_seconds": res.stats.recombine_seconds,
             "verify_seconds": res.stats.verify_seconds,

@@ -4,13 +4,19 @@ Polynomials are dense coefficient vectors of Python ints (index i holds the
 coefficient of x^i), so nothing here ever overflows or rounds. All heavy
 numeric work lives elsewhere; this module is the exactness backbone that the
 final verification step relies on.
+
+The gcd behind the square-free decomposition is Brown's small-primes modular
+algorithm: Euclid on the images modulo primes just below 2^62, images
+combined by the Chinese remainder theorem, and a lifted candidate accepted
+only when it divides both inputs exactly.
 """
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from math import comb, gcd
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 
 @dataclass(frozen=True)
@@ -183,39 +189,126 @@ def divide_exact(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial | None:
     return IntPolynomial(quot)
 
 
-def _pseudo_rem(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    # remainder of lc(b)^(deg a - deg b + 1) * a by b; stays in Z[x]
-    lb = b.leading
-    db = b.degree
-    r = list(a.coeffs)
-    while len(r) - 1 >= db and any(r):
-        while len(r) > 1 and r[-1] == 0:
-            r.pop()
-        if len(r) - 1 < db:
-            break
-        lead = r[-1]
-        shift = len(r) - 1 - db
-        r = [lb * c for c in r]
-        for i, bc in enumerate(b.coeffs):
-            r[i + shift] -= lead * bc
-        r.pop()
-    return IntPolynomial(r)
+# Moduli of the modular gcd: primes just below 2^62, largest first. Images
+# are taken modulo one of these at a time, so the Euclidean steps multiply
+# numbers below 2^62 however large the inputs' coefficients are.
+_PRIME_CEILING = 1 << 62
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin test for n below 3.3 * 10^24."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@functools.cache
+def _prime_below(n: int) -> int:
+    q = n - 1
+    while not _is_prime(q):
+        q -= 1
+    return q
+
+
+def _gcd_primes() -> Iterator[int]:
+    """The primes below 2^62 in descending order, each found once per process."""
+    q = _PRIME_CEILING
+    while True:
+        q = _prime_below(q)
+        yield q
+
+
+def _rem_mod(a: list[int], b: list[int], q: int) -> list[int]:
+    # remainder of a by b in GF(q)[x]; coefficient lists highest degree
+    # first, b with a nonzero lead; a is consumed
+    inv = pow(b[0], -1, q)
+    nb = len(b)
+    tail = b[1:]
+    while len(a) >= nb:
+        t = a[0] * inv % q
+        if t:
+            a[1:nb] = [(x - t * y) % q for x, y in zip(a[1:nb], tail)]
+        del a[0]
+    i = 0
+    while i < len(a) and a[i] == 0:
+        i += 1
+    return a[i:]
+
+
+def _monic_gcd_mod(a: list[int], b: list[int], q: int) -> list[int]:
+    # Euclid in GF(q)[x] on lists as in _rem_mod, both nonzero
+    while b:
+        a, b = b, _rem_mod(a, b, q)
+    inv = pow(a[0], -1, q)
+    return [c * inv % q for c in a]
 
 
 def poly_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    """Gcd over Z[x] via the primitive remainder sequence.
+    """Gcd over Z[x] by Brown's small-primes modular algorithm.
+
+    For each prime q below 2^62 (largest first) that divides neither leading
+    coefficient, the monic gcd of the images in GF(q)[x] is scaled by
+    gamma = gcd(lc a, lc b). Such an image has degree at least that of the
+    gcd over Z, so a constant image proves the inputs coprime, and an image
+    of higher degree than one already seen comes from an unlucky prime and
+    is dropped. Images of the lowest degree are combined by the Chinese
+    remainder theorem and lifted to the symmetric range; the primitive part
+    of the lift is returned only once it divides both inputs exactly, which
+    with its degree makes it the gcd. Nothing is accepted on a bound.
 
     The result is primitive with a positive leading coefficient (content is
-    deliberately dropped; callers track integer content themselves).
+    deliberately dropped; callers track integer content themselves):
+    poly_gcd(a, 0) is +-pp(a) and poly_gcd(0, 0) is 0.
     """
     a = a.primitive_part()
     b = b.primitive_part()
-    while not b.is_zero():
-        r = _pseudo_rem(a, b)
-        a, b = b, r.primitive_part()
-    if a.is_zero():
-        return a
-    return a if a.leading > 0 else -a
+    if a.is_zero() or b.is_zero():
+        return b if a.is_zero() else a
+    la, lb = a.leading, b.leading
+    gamma = gcd(la, lb)
+    high_a, high_b = a.coeffs[::-1], b.coeffs[::-1]
+    image: list[int] = []  # gamma * the gcd's image modulo `modulus`, highest first
+    modulus = 1
+    primes = _gcd_primes()
+    while True:
+        q = next(primes)
+        if la % q == 0 or lb % q == 0:
+            continue
+        g = _monic_gcd_mod([c % q for c in high_a], [c % q for c in high_b], q)
+        if len(g) == 1:
+            return IntPolynomial([1])
+        if image and len(g) > len(image):
+            continue
+        g = [gamma * c % q for c in g]
+        if not image or len(g) < len(image):
+            image, modulus = g, q
+        else:
+            inv = pow(modulus, -1, q)
+            image = [r + modulus * ((s - r) * inv % q) for r, s in zip(image, g)]
+            modulus *= q
+        half = modulus // 2
+        cand = IntPolynomial([c - modulus if c > half else c for c in reversed(image)])
+        cand = cand.primitive_part()
+        if divide_exact(a, cand) is not None and divide_exact(b, cand) is not None:
+            return cand
 
 
 def square_free_decompose(p: IntPolynomial) -> list[SquareFreePart]:

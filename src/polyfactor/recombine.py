@@ -312,12 +312,20 @@ class ValueTable:
         return int(np.count_nonzero(self.values >= 0.0))
 
     def content(self) -> tuple[np.ndarray, np.ndarray]:
-        """Stored (value, pattern) multiset in a canonical order."""
-        mask = self.values >= 0.0
-        vals = self.values[mask]
-        pats = self.patterns[mask]
-        order = np.lexsort((pats, vals))
-        return vals[order], pats[order]
+        """Stored (value, pattern) multiset in a canonical order: by value,
+        equal values by pattern.
+
+        compact() already orders the values, so a sort is needed only when
+        some run of equal values is out of pattern order (insert() calls
+        out of pattern order leave them so). A dense table returns its own
+        arrays."""
+        dense = self.compact()
+        vals, pats = dense.values, dense.patterns
+        ties = vals[1:] == vals[:-1]
+        if np.any(pats[1:][ties] < pats[:-1][ties]):
+            order = np.lexsort((pats, vals))
+            return vals[order], pats[order]
+        return vals, pats
 
     def compact(self) -> "ValueTable":
         """Drop empty cells, yielding the dense sorted form in linear time.

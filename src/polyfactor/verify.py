@@ -272,11 +272,14 @@ class FactorStats:
     rejected counts the candidates the verification walk reached and turned
     down (by the trace screen, the rounding gate or exact division); those
     skipped for sharing roots with a confirmed factor, and those past the
-    walk's degree stop, are not counted."""
+    walk's degree stop, are not counted. square_free_seconds times the one
+    square-free split of the input; the other timings are summed over its
+    parts."""
 
     backend: str = "e"
     workers: int = 1
     n: int = 0
+    square_free_seconds: float = 0.0
     root_seconds: float = 0.0
     recombine_seconds: float = 0.0
     verify_seconds: float = 0.0
@@ -329,7 +332,10 @@ def factor(
     content = p.content()
     prim = p.primitive_part()
     out: list[tuple[IntPolynomial, int]] = []
-    for part, mult in square_free_decompose(prim):
+    t0 = time.perf_counter()
+    parts = square_free_decompose(prim)
+    stats.square_free_seconds = time.perf_counter() - t0
+    for part, mult in parts:
         if part.is_monic():
             irr = _factor_monic_squarefree(part, cfg, backend, stats)
         else:

@@ -94,6 +94,7 @@ def test_factor_json_schema(capsys):
     assert doc["irreducible"] is False
     assert doc["stats"]["backend"] == "e"
     assert doc["stats"]["n"] >= 1
+    assert doc["stats"]["square_free_seconds"] > 0.0
 
 
 def test_factor_even_factors_exit_ok(capsys):

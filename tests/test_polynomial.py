@@ -15,6 +15,7 @@ from polyfactor.polynomial import (
     poly_gcd,
     square_free_decompose,
 )
+from polyfactor.polynomial import _gcd_primes
 
 P = IntPolynomial
 
@@ -73,6 +74,121 @@ def test_poly_gcd_common_factor():
     a = multiply(P([-1, 1]), P([1, 1]))
     b = multiply(P([-1, 1]), P([2, 1]))
     assert poly_gcd(a, b) == P([-1, 1])
+
+
+# sympy is the independent oracle for poly_gcd and square_free_decompose
+
+
+def _sympy_poly(p):
+    sympy = pytest.importorskip("sympy")
+    return sympy.Poly(list(reversed(p.coeffs)), sympy.Symbol("x"), domain="ZZ")
+
+
+def _from_sympy(poly):
+    return P([int(c) for c in reversed(poly.all_coeffs())])
+
+
+def _sympy_gcd(a, b):
+    # sympy's gcd keeps the gcd of the contents; poly_gcd drops it
+    g = _sympy_poly(a).gcd(_sympy_poly(b))
+    if g.is_zero:
+        return P([0])
+    g = g.primitive()[1]
+    return _from_sympy(-g if g.LC() < 0 else g)
+
+
+def _random_poly(rng, degree, bound=9):
+    lead = rng.choice([-1, 1]) * rng.randint(1, 6)
+    return P([rng.randint(-bound, bound) for _ in range(degree)] + [lead])
+
+
+def test_poly_gcd_coprime_pairs_match_sympy():
+    # leads share factors (gamma > 1), yet the gcd is 1
+    rng = random.Random(101)
+    for _ in range(40):
+        a = _random_poly(rng, rng.randint(1, 12)) * P([rng.choice([2, 6, -4])])
+        b = _random_poly(rng, rng.randint(1, 12)) * P([rng.choice([2, 3, -6])])
+        expected = _sympy_gcd(a, b)
+        assert expected == P([1])
+        assert poly_gcd(a, b) == expected
+
+
+def test_poly_gcd_shared_factors_match_sympy():
+    # shared factors of degree 1-10 with non-monic and negative leads, and
+    # inputs carrying integer content
+    rng = random.Random(102)
+    for k in range(1, 11):
+        for _ in range(4):
+            g = _random_poly(rng, k)
+            a = g * _random_poly(rng, rng.randint(0, 8)) * P([rng.choice([1, -3, 10])])
+            b = g * _random_poly(rng, rng.randint(0, 8))
+            assert poly_gcd(a, b) == _sympy_gcd(a, b)
+            assert poly_gcd(b, a) == _sympy_gcd(a, b)
+
+
+def test_poly_gcd_large_coefficients_match_sympy():
+    # gcd coefficients far above 2^62 need images modulo several primes
+    rng = random.Random(103)
+    for bits in (70, 130, 260):
+        g = _random_poly(rng, 5, bound=1 << bits) * P([rng.randint(-9, 9), 1 << bits])
+        a = g * _random_poly(rng, 6)
+        b = g * _random_poly(rng, 4)
+        got = poly_gcd(a, b)
+        assert got == _sympy_gcd(a, b)
+        assert max(abs(c) for c in got.coeffs) > 1 << 62
+
+
+def test_poly_gcd_constant_and_zero_arguments():
+    a = P([4, -6, -2])  # -2 * (x^2 + 3x - 2)
+    cases = [
+        (P([0]), P([0])),
+        (a, P([0])),
+        (P([0]), a),
+        (P([0]), P([-7])),
+        (P([6]), P([4])),
+        (P([-5]), a),
+        (a, P([3])),
+    ]
+    for x, y in cases:
+        assert poly_gcd(x, y) == _sympy_gcd(x, y)
+    assert poly_gcd(P([0]), P([0])) == P([0])
+    assert poly_gcd(a, P([0])) == P([-2, 3, 1])
+
+
+def test_poly_gcd_drops_unlucky_prime():
+    # modulo the first prime q1, x and x - q1 coincide
+    primes = _gcd_primes()
+    q1, q2 = next(primes), next(primes)
+    x = P([0, 1])
+    assert poly_gcd(x, P([-q1, 1])) == P([1])
+    assert poly_gcd(P([1, 1]) * x, P([1, 1]) * P([-q1, 1])) == P([1, 1])
+    # a lucky q1 whose image is too small to lift, then an unlucky q2
+    g = P([3**50, -(5**40), 7**30, 2**81 + 1])
+    assert poly_gcd(g * P([1, 1]), g * P([1 - q2, 1])) == g
+
+
+def test_poly_gcd_skips_prime_dividing_a_lead():
+    # modulo q1 the shared factor q1*x + 1 becomes a unit
+    q1 = next(_gcd_primes())
+    shared = P([1, q1])
+    a = shared * P([2, 1])
+    b = shared * P([3, 1])
+    assert poly_gcd(a, b) == shared == _sympy_gcd(a, b)
+
+
+def _sympy_square_free(p):
+    _, parts = _sympy_poly(p).sqf_list()
+    return [SquareFreePart(_from_sympy(f.primitive()[1]), m) for f, m in parts]
+
+
+@pytest.mark.parametrize("squared", [False, True])
+def test_square_free_decompose_degree_64_matches_sympy(squared):
+    rng = random.Random(104)
+    f, g = (P([rng.randint(-100, 100) for _ in range(32)] + [1]) for _ in range(2))
+    p = f * g**2 if squared else f * g
+    parts = square_free_decompose(p)
+    assert parts == _sympy_square_free(p)
+    assert [m for _, m in parts] == ([1, 2] if squared else [1])
 
 
 def test_square_free_decompose_examples():

@@ -405,6 +405,39 @@ def test_splat_matches_insert_loop():
             assert got.patterns.tolist() == ref.patterns.tolist()
 
 
+def _two_key_sorted(table):
+    mask = table.values >= 0.0
+    vals, pats = table.values[mask], table.patterns[mask]
+    order = np.lexsort((pats, vals))
+    return vals[order].tolist(), pats[order].tolist()
+
+
+@pytest.mark.parametrize("kind", ["random", "lattice", "zero"])
+def test_content_equals_two_key_sort(kind):
+    # content() sorts only runs of equal values left out of pattern order,
+    # as insert() calls in shuffled pattern order leave them on lattice and
+    # all-zero halves
+    rng = random.Random(31)
+    for width in (1, 5, 9, 12):
+        if kind == "random":
+            vals = [rng.random() for _ in range(width)]
+        elif kind == "lattice":
+            vals = [rng.randrange(8) / 8 for _ in range(width)]
+        else:
+            vals = [0.0] * width
+        half = rv(vals)
+        looped = empty_table(width)
+        sums = subset_sums(vals)
+        sums -= np.floor(sums)
+        shuffled = list(enumerate(sums.tolist()))
+        rng.shuffle(shuffled)
+        for s, x in shuffled:
+            insert(x, s, looped)
+        for table in (splat(half), expand(half), looped):
+            got = table.content()
+            assert (got[0].tolist(), got[1].tolist()) == _two_key_sorted(table)
+
+
 def test_splat_compact_is_sorted_with_wraparound():
     # values crowding 1.0 wrap past the table end; compaction must still sort
     half = rv([0.9956, 0.97, 0.93, 0.9, 0.6, 0.55, 0.5, 0.0007])
