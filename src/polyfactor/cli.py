@@ -179,6 +179,7 @@ def result_to_json(res) -> dict:
             "verify_seconds": res.stats.verify_seconds,
             "candidates": res.stats.candidates,
             "rejected": res.stats.rejected,
+            "screen_rejected": res.stats.screen_rejected,
             "visited": res.stats.recombine.visited,
             "probes_mean": res.stats.recombine.probes_mean,
         },

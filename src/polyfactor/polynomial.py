@@ -8,7 +8,9 @@ final verification step relies on.
 The gcd behind the square-free decomposition is Brown's small-primes modular
 algorithm: Euclid on the images modulo primes just below 2^62, images
 combined by the Chinese remainder theorem, and a lifted candidate accepted
-only when it divides both inputs exactly.
+only when it divides both inputs exactly. The quotients of those divisions
+are the next terms of Yun's chain, so the decomposition divides nothing
+itself.
 """
 from __future__ import annotations
 
@@ -278,10 +280,22 @@ def poly_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     deliberately dropped; callers track integer content themselves):
     poly_gcd(a, 0) is +-pp(a) and poly_gcd(0, 0) is 0.
     """
+    return _gcd_cofactors(a, b)[0]
+
+
+def _gcd_cofactors(
+    a: IntPolynomial, b: IntPolynomial
+) -> tuple[IntPolynomial, IntPolynomial, IntPolynomial]:
+    """(poly_gcd(a, b), a / g, b / g): the cofactors are the quotients of the
+    exact divisions that accept g, scaled by the inputs' contents, so that
+    a == g * (a / g) and b == g * (b / g)."""
+    ca, cb = a.content(), b.content()
     a = a.primitive_part()
     b = b.primitive_part()
-    if a.is_zero() or b.is_zero():
-        return b if a.is_zero() else a
+    if a.is_zero():
+        return b, a, IntPolynomial([cb])
+    if b.is_zero():
+        return a, IntPolynomial([ca]), b
     la, lb = a.leading, b.leading
     gamma = gcd(la, lb)
     high_a, high_b = a.coeffs[::-1], b.coeffs[::-1]
@@ -294,7 +308,7 @@ def poly_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
             continue
         g = _monic_gcd_mod([c % q for c in high_a], [c % q for c in high_b], q)
         if len(g) == 1:
-            return IntPolynomial([1])
+            return IntPolynomial([1]), IntPolynomial([ca]) * a, IntPolynomial([cb]) * b
         if image and len(g) > len(image):
             continue
         g = [gamma * c % q for c in g]
@@ -307,13 +321,18 @@ def poly_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
         half = modulus // 2
         cand = IntPolynomial([c - modulus if c > half else c for c in reversed(image)])
         cand = cand.primitive_part()
-        if divide_exact(a, cand) is not None and divide_exact(b, cand) is not None:
-            return cand
+        qa = divide_exact(a, cand)
+        if qa is None:
+            continue
+        qb = divide_exact(b, cand)
+        if qb is not None:
+            return cand, IntPolynomial([ca]) * qa, IntPolynomial([cb]) * qb
 
 
 def square_free_decompose(p: IntPolynomial) -> list[SquareFreePart]:
-    """Square-free decomposition by gcd chains on p and its derivative.
+    """Square-free decomposition by gcd chains on p and its derivative (Yun).
 
+    Each gcd hands back its cofactors, so the loop divides nothing itself.
     Returns parts with strictly increasing multiplicities whose product
     (factor^multiplicity) reassembles the primitive part of p exactly.
     """
@@ -322,20 +341,17 @@ def square_free_decompose(p: IntPolynomial) -> list[SquareFreePart]:
     p = p.primitive_part()
     if p.leading < 0:
         p = -p
-    dp = p.derivative()
-    g = poly_gcd(p, dp)
+    g, c, d = _gcd_cofactors(p, p.derivative())
     if g.is_constant():
         return [SquareFreePart(p, 1)]
-    c = divide_exact(p, g)
-    d = divide_exact(dp, g) - c.derivative()
+    d = d - c.derivative()
     parts: list[SquareFreePart] = []
     i = 1
     while c.degree > 0:
-        a = poly_gcd(c, d)
+        a, c, d = _gcd_cofactors(c, d)
         if a.degree > 0:
             parts.append(SquareFreePart(a, i))
-        c = divide_exact(c, a)
-        d = divide_exact(d, a) - c.derivative()
+        d = d - c.derivative()
         i += 1
     return parts
 

@@ -2,11 +2,13 @@
 
 A pattern from the recombination stage is only a hint: its selected roots sum
 to nearly an integer. Verification screens all patterns at once by
-integrality of their power-sum traces (one matrix product per chunk of
-patterns), then rebuilds the real factor of each survivor, rounds its
-coefficients, and demands an exact integer division. Each square-free part
-gets one root finding and one recombination; a single walk over the screened
-candidates, in order of factor degree, divides out every confirmed factor.
+integrality of their power-sum traces, a chunk of patterns at a time: the
+order-2 trace of every pattern first, then every other resolvable order on
+the few patterns that order keeps. It then rebuilds the real factor of each
+survivor, rounds its coefficients, and demands an exact integer division.
+Each square-free part gets one root finding and one recombination; a single
+walk over the screened candidates, in order of factor degree, divides out
+every confirmed factor.
 Nothing floating ever reaches the output; a factorization is shipped with a
 certificate obtained by exact re-multiplication.
 """
@@ -228,12 +230,17 @@ def screen_candidates(patterns, profile: RootProfile, eps: float):
     pattern) order, where degree is selected_degree(s) and passed is
     trace_test(build_candidate(s), eps).
 
-    The scales of a whole chunk of patterns are one product of its bit matrix
-    with the scale table of _trace_tables; the traces of the orders some
-    pattern consults under trace_test's rule are a second product, with the
-    power-sum table. Both sum in build_candidate's order, and the rule is
-    applied unchanged. Chunks are screened lazily, so a caller that stops at
-    some degree never screens the chunks after it."""
+    Each chunk is screened in two stages, both products of its bit matrix
+    with the tables of _trace_tables. Stage 1 takes the order-2 column of
+    the scale and power-sum tables alone and drops the rows whose order-2
+    trace trace_test would consult and find off the integer lattice; that
+    order settles almost every spurious pattern, since order 1 is what
+    recombination already tested. Stage 2 gives the rows stage 1 kept the
+    scales of every order, then the traces of the orders some row consults,
+    and applies trace_test's rule to all of them. Every product sums in
+    build_candidate's order, and the rule is applied unchanged. Chunks are
+    screened lazily, so a caller that stops at some degree never screens the
+    chunks after it."""
     pats = np.fromiter(patterns, dtype=np.uint64, count=len(patterns))
     if not len(pats):
         return
@@ -251,17 +258,28 @@ def screen_candidates(patterns, profile: RootProfile, eps: float):
     for start in chunks:
         stop = min(start + _SCREEN_CHUNK, len(pats))
         e = int(degrees[stop - 1])
+        deg = degrees[start:stop]
         sel = ((pats[start:stop, None] >> col_shifts) & 1).astype(np.longdouble)
+        passed = np.ones(len(deg), dtype=bool)
+        if e >= 2:
+            # stage 1: the order-2 trace alone settles most spurious rows
+            scale = (sel @ mags[:, 1]).astype(np.float64)
+            trace = sel @ powers[:, 1]
+            off = np.abs((trace - np.rint(trace)).astype(np.float64)) >= eps
+            passed = ~(off & (2 * scale * _TRACE_REL < eps) & (scale < _INT_LIMIT) & (deg >= 2))
+        # stage 2: every consulted order, on the rows stage 1 kept
+        keep = np.flatnonzero(passed)
+        sel = sel[keep]
         scales = (sel @ mags[:, :e]).astype(np.float64)
         m = np.arange(1, e + 1, dtype=np.uint64)
         consult = (m * scales * _TRACE_REL < eps) & (scales < _INT_LIMIT)
-        consult &= m <= degrees[start:stop, None]
+        consult &= m <= deg[keep, None]
         # only the orders some candidate consults are worth a product
         used = np.flatnonzero(consult.any(axis=0))
         traces = sel @ powers[:, used]
         off = np.abs((traces - np.rint(traces)).astype(np.float64)) >= eps
-        passed = ~np.any(off & consult[:, used], axis=1)
-        yield from zip(pats[start:stop].tolist(), degrees[start:stop].tolist(), passed.tolist())
+        passed[keep] = ~np.any(off & consult[:, used], axis=1)
+        yield from zip(pats[start:stop].tolist(), deg.tolist(), passed.tolist())
 
 
 @dataclass
@@ -272,7 +290,9 @@ class FactorStats:
     rejected counts the candidates the verification walk reached and turned
     down (by the trace screen, the rounding gate or exact division); those
     skipped for sharing roots with a confirmed factor, and those past the
-    walk's degree stop, are not counted. square_free_seconds times the one
+    walk's degree stop, are not counted. screen_rejected counts the part of
+    rejected that the trace screen failed; the rest of rejected fell to the
+    rounding gate or to exact division. square_free_seconds times the one
     square-free split of the input; the other timings are summed over its
     parts."""
 
@@ -285,6 +305,7 @@ class FactorStats:
     verify_seconds: float = 0.0
     candidates: int = 0
     rejected: int = 0
+    screen_rejected: int = 0
     recombine: RecombineStats = field(default_factory=RecombineStats)
 
 
@@ -401,7 +422,11 @@ def _factor_monic_squarefree(
             break
         if s & consumed:
             continue
-        found = round_and_divide(build_candidate(s, profile), rest, cfg.eps) if passed else None
+        if not passed:
+            stats.rejected += 1
+            stats.screen_rejected += 1
+            continue
+        found = round_and_divide(build_candidate(s, profile), rest, cfg.eps)
         if found is None:
             stats.rejected += 1
             continue

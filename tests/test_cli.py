@@ -95,6 +95,7 @@ def test_factor_json_schema(capsys):
     assert doc["stats"]["backend"] == "e"
     assert doc["stats"]["n"] >= 1
     assert doc["stats"]["square_free_seconds"] > 0.0
+    assert doc["stats"]["rejected"] == doc["stats"]["screen_rejected"] == 0
 
 
 def test_factor_even_factors_exit_ok(capsys):

@@ -15,7 +15,7 @@ from polyfactor.polynomial import (
     poly_gcd,
     square_free_decompose,
 )
-from polyfactor.polynomial import _gcd_primes
+from polyfactor.polynomial import _gcd_cofactors, _gcd_primes
 
 P = IntPolynomial
 
@@ -174,6 +174,26 @@ def test_poly_gcd_skips_prime_dividing_a_lead():
     a = shared * P([2, 1])
     b = shared * P([3, 1])
     assert poly_gcd(a, b) == shared == _sympy_gcd(a, b)
+
+
+def test_gcd_cofactors_are_the_exact_quotients():
+    # the cofactors carry the inputs' contents and signs, so g times each
+    # rebuilds its input: shared, coprime, content-bearing, constant and zero
+    rng = random.Random(104)
+    a = P([4, -6, -2])
+    pairs = [(P([0]), P([0])), (a, P([0])), (P([0]), a), (P([-5]), a), (a, P([3]))]
+    for k in range(8):
+        g = _random_poly(rng, k)
+        pairs.append(
+            (
+                g * _random_poly(rng, rng.randint(0, 6)) * P([rng.choice([1, -3, 10])]),
+                g * _random_poly(rng, rng.randint(0, 6)) * P([rng.choice([1, 2, -6])]),
+            )
+        )
+    for x, y in pairs:
+        g, cx, cy = _gcd_cofactors(x, y)
+        assert g == poly_gcd(x, y)
+        assert g * cx == x and g * cy == y
 
 
 def _sympy_square_free(p):

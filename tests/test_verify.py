@@ -178,15 +178,65 @@ def test_screen_matches_per_candidate_trace_test(kind, size, eps):
     assert [ok for _, _, ok in screened] == want
 
 
+def test_screen_stages_cover_every_kind():
+    # f3 (x - 400)(x + 500) at eps 1e-6 has candidates of each kind the
+    # two-stage screen tells apart: rejected on the order-2 trace alone,
+    # kept by order 2 and rejected at a higher order, and not consulting
+    # order 2 at all (degree 1, or an order-2 scale too large to resolve);
+    # some of the last kind pass with an order-2 trace off the lattice
+    eps = 1e-6
+    p = gen_swinnerton_dyer(3) * P([-400, 1]) * P([500, 1])
+    prof = profile_polynomial(p, ToleranceConfig(eps=eps))
+    patterns = recombine_e(RhoVector.from_profile(prof), eps).nontrivial()
+    screened = list(screen_candidates(patterns, prof, eps))
+    kinds = Counter()
+    want = []
+    for s, _, _ in screened:
+        cand = build_candidate(s, prof)
+        want.append(trace_test(cand, eps))
+        off = cand.degree >= 2 and abs(float(cand.traces[1] - np.rint(cand.traces[1]))) >= eps
+        scale = float(cand.trace_scales[1]) if cand.degree >= 2 else math.inf
+        if not (2 * scale * verify._TRACE_REL < eps and scale < verify._INT_LIMIT):
+            kinds["unconsulted"] += 1
+            kinds["unconsulted, off, passed"] += off and want[-1]
+        elif off:
+            kinds["order 2"] += 1
+        elif not want[-1]:
+            kinds["higher order"] += 1
+    assert [ok for _, _, ok in screened] == want
+    assert kinds == {
+        "order 2": 7,
+        "higher order": 1,
+        "unconsulted": 27,
+        "unconsulted, off, passed": 21,
+    }
+
+
 def test_screen_keeps_rejection_counts():
     # every candidate the walk reaches before the degree stop is counted as
     # rejected, whether the screen, the rounding gate or the division turned
-    # it down
+    # it down; here the screen turned down every one
     f, g = gen_random_reducible_parts(60, 100, seed=606)
     res = factor(f * g)
     assert sorted(q.coeffs for q, _ in res.factors) == sorted([f.coeffs, g.coeffs])
     assert res.stats.candidates == 17120
     assert res.stats.rejected == 10105
+    assert res.stats.screen_rejected == 10105
+
+
+@pytest.mark.parametrize(
+    "k,eps,screen_rejected",
+    [(2, 1e-6, 1), (3, 1e-6, 8), (4, 1e-6, 323), (3, 1e-9, 3), (4, 1e-8, 318), (4, 1e-9, 61)],
+)
+def test_screen_rejected_is_the_screens_part_of_rejected(k, eps, screen_rejected):
+    # the Swinnerton-Dyer f2..f4 reach every candidate and reject it; at the
+    # finer eps the screen resolves fewer traces and rounding or exact
+    # division turns down the rest
+    res = factor(gen_swinnerton_dyer(k), ToleranceConfig(eps=eps))
+    assert res.irreducible
+    assert res.stats.rejected == res.stats.candidates
+    assert res.stats.screen_rejected == screen_rejected
+    assert res.stats.screen_rejected <= res.stats.rejected
 
 
 def x_power_minus_one(k):
