@@ -2,24 +2,15 @@
 
 Each worker stable-sorts the subset sums of its own pattern range; one stable
 sort merges the runs, and splat's layout places them. The result is the
-serial splat table cell for cell, whatever the worker count, and the threaded
-sweep finds the serial candidates with the serial counters. Run:
+serial splat table cell for cell, whatever the worker count. factor() runs
+the same serial search for every worker count. Run:
 python demos/04_parallel_tables.py
 """
 import random
 
 import numpy as np
 
-from polyfactor import (
-    RecombineStats,
-    RhoVector,
-    factor,
-    gen_random_reducible,
-    parallel_build,
-    parallel_recombine_e,
-    recombine_e,
-    splat,
-)
+from polyfactor import RhoVector, factor, gen_random_reducible, parallel_build, splat
 
 rng = random.Random(1)
 rho = RhoVector.from_values([rng.random() for _ in range(14)])
@@ -34,18 +25,6 @@ for workers in (1, 2, 4, 8):
     print(
         f"  workers={workers}: {workers} sorted run(s), occupied {tab.occupied():,} "
         f"/ expected {1 << 14:,}, table == serial splat cell for cell: {same}"
-    )
-
-full = RhoVector.from_values([rng.random() for _ in range(24)])
-ser_stats = RecombineStats()
-want = recombine_e(full, 1e-6, ser_stats)
-print(f"\nn=24 search, serial backend e: {len(want)} candidates, {ser_stats}")
-for workers in (2, 4):
-    st = RecombineStats()
-    got = parallel_recombine_e(full, 1e-6, workers, st)
-    print(
-        f"  workers={workers}: same candidates {got.patterns == want.patterns}, "
-        f"same counters {st == ser_stats}"
     )
 
 p = gen_random_reducible(24, 100, seed=3)

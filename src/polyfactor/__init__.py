@@ -5,8 +5,8 @@ parts of its real roots and conjugate-pair sums, and search for subsets that
 sum to an integer; each hit is a candidate factor verified by exact integer
 division. The search is a subset-sum instance with five backends of
 increasing sophistication (exhaustive scan up to meet-in-the-middle with a
-linear-time distribution sort), plus a data-parallel variant of the fastest
-one.
+linear-time distribution sort), plus a threaded build of the distribution
+sort's table.
 """
 
 from .errors import (
@@ -30,7 +30,6 @@ from .polynomial import (
 from .recombine import (
     BACKENDS,
     CandidateSet,
-    FixedPointConfig,
     RecombineStats,
     RhoVector,
     ValueTable,
@@ -58,11 +57,7 @@ from .rootfinder import (
     find_roots,
     profile_polynomial,
 )
-from .parallel import (
-    parallel_build,
-    parallel_query_sweep,
-    parallel_recombine_e,
-)
+from .parallel import parallel_build
 from .verify import (
     CandidateFactor,
     FactorizationResult,

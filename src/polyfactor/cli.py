@@ -1,7 +1,8 @@
 """Command-line surface: factor, bench, gen, selftest.
 
-Exit codes: 0 ok, 2 parse or argument error, 3 root non-convergence,
-4 pattern width exceeded, 5 selftest failure.
+Exit codes: 0 ok, 2 parse or argument error, 3 root non-convergence or an
+unpaired complex root, 4 pattern width or candidate volume exceeded,
+5 selftest failure.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import sys
 import time
 from typing import NamedTuple
 
-from .errors import NonConvergence, PolynomialParseError, WidthExceeded
+from .errors import NonConvergence, PolynomialParseError, UnpairedComplexRoot, WidthExceeded
 from .polynomial import (
     IntPolynomial,
     gen_random_reducible_parts,
@@ -125,29 +126,18 @@ def _eps(text: str) -> float:
 
 
 def cmd_factor(args) -> int:
-    try:
-        p = parse_polynomial(args.polynomial)
-    except PolynomialParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    p = parse_polynomial(args.polynomial)
     if p.is_constant():
         print("parse error: factor requires a non-constant polynomial", file=sys.stderr)
         return EXIT_PARSE
     cfg = _build_cfg(args)
-    try:
-        if args.dump_roots:
-            roots = find_roots(p.primitive_part(), cfg)
-            with open(args.dump_roots, "w") as fh:
-                fh.write("re,im\n")
-                for z in roots:
-                    fh.write(f"{float(z.real)!r},{float(z.imag)!r}\n")
-        res = factor(p, cfg, backend=args.backend, workers=args.workers)
-    except NonConvergence as exc:
-        print(f"convergence error: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
-    except WidthExceeded as exc:
-        print(f"width error: {exc}", file=sys.stderr)
-        return EXIT_WIDTH
+    if args.dump_roots:
+        roots = find_roots(p.primitive_part(), cfg)
+        with open(args.dump_roots, "w") as fh:
+            fh.write("re,im\n")
+            for z in roots:
+                fh.write(f"{float(z.real)!r},{float(z.imag)!r}\n")
+    res = factor(p, cfg, backend=args.backend, workers=args.workers)
 
     if args.json:
         print(json.dumps(result_to_json(res)))
@@ -251,9 +241,6 @@ def cmd_bench(args) -> int:
             args.degrees, args.backends, args.trials, args.seed, args.workers, args.include_roots
         ):
             emit(row.to_csv())
-    except WidthExceeded as exc:
-        print(f"width error: {exc}", file=sys.stderr)
-        return EXIT_WIDTH
     finally:
         if sink:
             sink.close()
@@ -418,12 +405,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; a package error becomes one stderr line and its
+    exit code."""
+    exits = {
+        PolynomialParseError: (EXIT_PARSE, "parse error"),
+        NonConvergence: (EXIT_CONVERGENCE, "convergence error"),
+        UnpairedComplexRoot: (EXIT_CONVERGENCE, "root pairing error"),
+        WidthExceeded: (EXIT_WIDTH, "width error"),
+    }
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except PolynomialParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    except tuple(exits) as exc:
+        code, label = next(v for cls, v in exits.items() if isinstance(exc, cls))
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -34,6 +34,9 @@ _A_CHUNK_BITS = 20
 _B_WIDTH_LIMIT = 30
 _FILTER_ROWS = 1 << 14  # patterns per bit matrix in the canonical filter
 _WINDOW_PAD = 1e-13  # window widening that covers the rounding of the -1/+1 copies
+# (target, value) pairs one window query may gather, about 2^n * 2 eps;
+# checked before the pair arrays (tens of bytes per pair) are allocated
+_PAIR_LIMIT = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -83,26 +86,22 @@ class CandidateSet:
 
 @dataclass
 class RecombineStats:
-    """Instrumentation counters surfaced by the bench command."""
+    """Instrumentation counters surfaced by the bench command.
+
+    visited counts the patterns or subset sums a backend forms. inserts and
+    insert_probes count insertions into a splat table, so probes_mean reads
+    0.0 for backends that build none. queries counts backend e's window
+    queries and query() calls; query_probes counts the cells query() walks."""
 
     visited: int = 0
     inserts: int = 0
     insert_probes: int = 0
     queries: int = 0
     query_probes: int = 0
-    find_steps: int = 0
 
     @property
     def probes_mean(self) -> float:
         return self.insert_probes / self.inserts if self.inserts else 0.0
-
-    def merge(self, other: "RecombineStats") -> None:
-        self.visited += other.visited
-        self.inserts += other.inserts
-        self.insert_probes += other.insert_probes
-        self.queries += other.queries
-        self.query_probes += other.query_probes
-        self.find_steps += other.find_steps
 
 
 def value(s: int, rho) -> float:
@@ -521,7 +520,8 @@ def _window_pairs(ts: np.ndarray, vs: np.ndarray, eps: float) -> tuple[np.ndarra
     wider window from vs, padded by copies of its ends shifted by -1 and +1
     so that windows wrap around 0/1; the exact test then runs on each pair.
     Windows are narrow and most hold no value, so the upper bound is only
-    searched where the first value at or above the lower one lies inside."""
+    searched where the first value at or above the lower one lies inside.
+    Raises WidthExceeded when the pair volume exceeds _PAIR_LIMIT."""
     w = eps + _WINDOW_PAD
     head = int(np.searchsorted(vs, w))
     tail = int(np.searchsorted(vs, 1.0 - w))
@@ -531,6 +531,13 @@ def _window_pairs(ts: np.ndarray, vs: np.ndarray, eps: float) -> tuple[np.ndarra
     hit = np.flatnonzero(ext[np.minimum(lo, len(ext) - 1)] <= upper)
     counts = np.zeros(len(ts), dtype=np.int64)
     counts[hit] = np.searchsorted(ext, upper[hit], side="right") - lo[hit]
+    volume = int(counts.sum())
+    if volume > _PAIR_LIMIT:
+        n = (len(ts) * len(vs)).bit_length() - 1
+        raise WidthExceeded(
+            f"candidate volume of {volume:,} pairs exceeds {_PAIR_LIMIT:,} "
+            f"(n = {n}, eps = {eps:.3g})"
+        )
     qi = np.repeat(np.arange(len(ts)), counts)
     pos = np.arange(len(qi)) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
     vj = (pos - (len(vs) - tail)) % len(vs)
@@ -539,12 +546,7 @@ def _window_pairs(ts: np.ndarray, vs: np.ndarray, eps: float) -> tuple[np.ndarra
     return qi[keep], vj[keep]
 
 
-def find(
-    alpha: ValueTable,
-    beta: ValueTable,
-    eps: float,
-    stats: RecombineStats | None = None,
-) -> set[int]:
+def find(alpha: ValueTable, beta: ValueTable, eps: float) -> set[int]:
     """All concatenated patterns with alpha_i + beta_j within the accept
     bands: one window query of every (1 - alpha_i) mod 1 against the sorted
     beta values, so the bands at 0, 1 and 2 are one circular window.
@@ -555,8 +557,6 @@ def find(
     t = np.mod(1.0 - alpha.values, 1.0)
     qorder = np.argsort(t)
     qi, vj = _window_pairs(t[qorder], beta.values, eps + GUARD)
-    if stats is not None:
-        stats.find_steps += len(alpha.values) + len(beta.values)
     apat = alpha.patterns[qorder[qi]].astype(np.uint64)
     bpat = beta.patterns[vj].astype(np.uint64)
     return set((apat | (bpat << alpha.width)).tolist())
@@ -587,7 +587,7 @@ def recombine_c(rho: RhoVector, eps: float, stats: RecombineStats | None = None)
     rho_a, rho_b = _split(rho)
     alpha = expand(rho_a, stats)
     beta = expand(rho_b, stats)
-    raw = find(alpha, beta, eps, stats)
+    raw = find(alpha, beta, eps)
     return CandidateSet(_canonical_filter(raw, rho, eps), n)
 
 
@@ -600,66 +600,32 @@ def recombine_d(rho: RhoVector, eps: float, stats: RecombineStats | None = None)
     rho_a, rho_b = _split(rho)
     alpha = splat(rho_a, stats).compact()
     beta = splat(rho_b, stats).compact()
-    raw = find(alpha, beta, eps, stats)
+    raw = find(alpha, beta, eps)
     return CandidateSet(_canonical_filter(raw, rho, eps), n)
-
-
-def _query_probes(cells: np.ndarray, k: int, ts: np.ndarray, eps: float) -> int:
-    """Cells that _probe_window examines over all targets ts in a splat
-    table of capacity k whose occupied cells are `cells`: each walk runs
-    from the home slot of t - eps through the window's span and on to the
-    next empty cell. For t in [0, 1) the wraps below are the ones % 1.0
-    makes, bit for bit."""
-    lo = ts - eps
-    lo[lo < 0.0] += 1.0
-    hi = ts + eps
-    hi[hi >= 1.0] -= 1.0
-    start = (k * lo).astype(np.int64)
-    span = ((k * hi).astype(np.int64) - start) % k
-    end = (start + span) % k
-    occupied = np.zeros(k, dtype=bool)
-    occupied[cells] = True
-    next_free = np.where(occupied, k + int(np.argmin(occupied)), np.arange(k))
-    next_free = np.minimum.accumulate(next_free[::-1])[::-1]
-    return len(ts) + int(span.sum()) + int((next_free[end] - end).sum())
-
-
-def _sorted_targets(rho_low) -> tuple[np.ndarray, np.ndarray]:
-    """Window-query targets (1 - x) mod 1 of every low-half pattern value x,
-    sorted, and the patterns in that order."""
-    t = 1.0 - _fractional_sums(rho_low)
-    t[t == 1.0] = 0.0  # (1 - x) % 1.0, bit for bit
-    qorder = np.argsort(t)
-    return qorder, t[qorder]
 
 
 def recombine_e(rho: RhoVector, eps: float, stats: RecombineStats | None = None) -> CandidateSet:
     """Sort the high half's values once and find every low-half pattern's
     partners with window queries against them.
 
-    The counters are derived exactly from the serial table process: splat
-    the high half (inserts, insert probes), then walk the table with
-    _probe_window once per low-half pattern (queries, query probes)."""
+    The counters record what runs: the 2^na + 2^nb subset sums formed
+    (visited) and one window query per low-half pattern (queries). No table
+    is built, so nothing is inserted or probed."""
     n = len(rho)
     _guard_width(n, 31)
     if n < 2:
         return recombine_a(rho, eps, stats)
     na = n // 2
-    eps_d = eps + GUARD
     bsums = _fractional_sums(rho.values[na:])
     border = np.argsort(bsums)
-    vs = bsums[border]
-    qorder, ts = _sorted_targets(rho.values[:na])
-    qi, vj = _window_pairs(ts, vs, eps_d)
+    t = 1.0 - _fractional_sums(rho.values[:na])
+    t[t == 1.0] = 0.0  # (1 - x) % 1.0, bit for bit
+    qorder = np.argsort(t)
+    qi, vj = _window_pairs(t[qorder], bsums[border], eps + GUARD)
     raw = qorder[qi] | (border[vj] << na)
     if stats is not None:
-        k = 2 * len(bsums)
-        cells, insert_probes = _splat_cells(vs, k)
-        stats.inserts += len(bsums)
-        stats.insert_probes += insert_probes
-        stats.visited += len(bsums) + len(ts)
-        stats.queries += len(ts)
-        stats.query_probes += _query_probes(cells, k, ts, eps_d)
+        stats.visited += len(bsums) + len(t)
+        stats.queries += len(t)
     return CandidateSet(_canonical_filter(raw, rho, eps), n)
 
 
@@ -707,44 +673,3 @@ def splat_cost_bounds(c: float) -> tuple[float, float]:
     if c <= 1:
         raise ValueError("oversize factor must exceed 1")
     return c * math.log(c / (c - 1.0)), c / (c - 1.0)
-
-
-# ---------------------------------------------------------------------------
-# optional fixed-point mode
-
-
-@dataclass(frozen=True)
-class FixedPointConfig:
-    """Integer-lattice variant of value/accept: rho scaled to Z_M.
-
-    With M = 2^32 the scan is bit-exact across platforms and worker counts,
-    which is what the reproducibility tests use. Note that floor scaling
-    spreads an exact integer sum across residues {0, M-1, .., M-n+1}, so the
-    literal accept (slack=1) only sees sums whose quantization loss is <= 1;
-    pass slack=n to cover every exact subset sum of an n-wide instance.
-    """
-
-    modulus: int = 1 << 32
-
-    def __post_init__(self):
-        if self.modulus < 2:
-            raise ValueError("modulus must be at least 2")
-
-    def supports_eps(self, eps: float) -> bool:
-        return self.modulus > 1.0 / eps
-
-    def scale(self, rho: RhoVector) -> np.ndarray:
-        return np.floor(rho.values * self.modulus).astype(np.int64)
-
-    def value(self, s: int, scaled: np.ndarray) -> int:
-        total = 0
-        i = 0
-        while s:
-            if s & 1:
-                total += int(scaled[i])
-            s >>= 1
-            i += 1
-        return total % self.modulus
-
-    def accept(self, y: int, slack: int = 1) -> bool:
-        return y < slack or y >= self.modulus - slack

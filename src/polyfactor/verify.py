@@ -338,8 +338,8 @@ def factor(
     flag is set by exact re-multiplication of the output.
 
     `workers` is validated and recorded in the stats; every worker count
-    runs the same serial recombination (the threaded build and sweep in
-    `parallel` give the same candidates and stay available on their own).
+    runs the same serial recombination. Raises WidthExceeded when n or the
+    candidate volume is beyond the backend's limits.
     """
     cfg = cfg or ToleranceConfig()
     if backend not in BACKENDS:

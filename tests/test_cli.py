@@ -4,6 +4,7 @@ import pytest
 
 from polyfactor.cli import (
     CSV_HEADER,
+    EXIT_CONVERGENCE,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_SELFTEST,
@@ -12,6 +13,7 @@ from polyfactor.cli import (
     main,
     parse_polynomial,
 )
+from polyfactor.errors import NonConvergence, UnpairedComplexRoot
 from polyfactor.polynomial import IntPolynomial, multiply
 
 P = IntPolynomial
@@ -137,6 +139,39 @@ def test_factor_width_exit_code_any_worker_count(workers, capsys):
     err = capsys.readouterr().err
     assert "width error: pattern width is capped at 64 bits, got 68" in err
     assert "Traceback" not in err
+
+
+def test_factor_volume_exit_code(capsys):
+    # x^60 - 1 at eps 0.01: n = 31 is within the width limits, but the
+    # window query would gather 42,502,144 pairs
+    assert main(["factor", "x^60-1", "--eps", "0.01"]) == EXIT_WIDTH
+    err = capsys.readouterr().err
+    assert err.startswith("width error: candidate volume of 42,502,144 pairs")
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    return fail
+
+
+@pytest.mark.parametrize(
+    "argv,exc,label",
+    [
+        (["factor", "x^2-2"], UnpairedComplexRoot("no partner for 1j"), "root pairing error"),
+        (["bench", "--degrees", "8", "--trials", "1"], NonConvergence("stalled"), "convergence error"),
+    ],
+    ids=["factor-unpaired", "bench-nonconvergence"],
+)
+def test_root_errors_exit_3_with_one_line(argv, exc, label, monkeypatch, capsys):
+    import polyfactor.cli as cli
+
+    monkeypatch.setattr(cli, "factor", _raise(exc))
+    assert main(argv) == EXIT_CONVERGENCE
+    err = capsys.readouterr().err
+    assert err == f"{label}: {exc}\n"
 
 
 def test_factor_dump_roots(tmp_path, capsys):

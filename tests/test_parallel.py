@@ -4,14 +4,9 @@ import numpy as np
 import pytest
 
 from polyfactor.errors import WidthExceeded
-from polyfactor.parallel import (
-    parallel_build,
-    parallel_query_sweep,
-    parallel_recombine_e,
-    serial_reference_table,
-)
+from polyfactor.parallel import parallel_build, serial_reference_table
 from polyfactor.polynomial import IntPolynomial, gen_random_reducible
-from polyfactor.recombine import RecombineStats, RhoVector, ValueTable, recombine_e
+from polyfactor.recombine import RecombineStats, RhoVector, ValueTable, splat
 from polyfactor.verify import factor
 
 
@@ -70,45 +65,16 @@ def test_publish_freezes_readable_arrays():
     assert int(np.count_nonzero(vt.values >= 0)) == 1 << 8
 
 
-def test_query_sweep_matches_serial_backend():
-    for seed in (0, 5, 9):
-        rng = random.Random(seed)
-        n = 18
-        vals = sorted(rng.random() for _ in range(n))
-        rho = RhoVector.from_values(vals)
-        tab = parallel_build(RhoVector.from_values(rho.values[n // 2 :]), workers=4)
-        before = (tab.values.copy(), tab.patterns.copy())
-        got = parallel_query_sweep(rho, tab, 1e-6, workers=4)
-        assert np.array_equal(tab.values, before[0])  # read-only phase
-        assert np.array_equal(tab.patterns, before[1])
-        assert got.patterns == recombine_e(rho, 1e-6).patterns
-
-
-@pytest.mark.parametrize("workers", [1, 2, 4, 16])
-def test_parallel_recombine_matches_serial(workers):
-    rho = RhoVector.from_values(sorted(random.Random(31).random() for _ in range(20)))
-    assert parallel_recombine_e(rho, 1e-6, workers).patterns == recombine_e(rho, 1e-6).patterns
-
-
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_parallel_counters_equal_serial(workers):
-    # the table and the sweep count what serial backend e counts: the same
-    # splat inserts and probes, the same window queries and probe walks
-    for seed, n in [(seed, n) for seed in range(4) for n in (4, 9, 16, 24)]:
+    # the threaded build counts what splat counts: the same inserts, insert
+    # probes and visited values
+    for seed, n in [(seed, n) for seed in range(4) for n in (4, 9, 12)]:
         rho = rho_of(seed, n)
-        for eps in (1e-3, 1e-6):
-            ser, par = RecombineStats(), RecombineStats()
-            want = recombine_e(rho, eps, ser)
-            got = parallel_recombine_e(rho, eps, workers, par)
-            assert got.patterns == want.patterns
-            assert par == ser, (seed, n, eps)
-
-
-def test_empty_candidate_instance():
-    # a rho with no nontrivial near-integer subset: every worker comes back empty
-    rho = RhoVector.from_values([0.211, 0.322, 0.433, 0.544, 0.655, 0.766])
-    got = parallel_recombine_e(rho, 1e-9, workers=4)
-    assert got.nontrivial() == frozenset()
+        ser, par = RecombineStats(), RecombineStats()
+        splat(rho, ser)
+        parallel_build(rho, workers, par)
+        assert par == ser, (seed, n)
 
 
 def test_end_to_end_factor_parity():
@@ -126,18 +92,17 @@ def test_end_to_end_factor_parity():
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("n", [63, 68])
 def test_width_errors_match_serial(n, workers):
-    # n = 63 has a 32-bit high half; n = 68 is over the 64-bit pattern cap
-    rho = RhoVector.from_values(np.linspace(0.01, 0.99, n))
+    # the high half of an n-wide rho: 32 values for n = 63, 34 for n = 68,
+    # at 1 and 2 workers
+    rho = RhoVector.from_values(np.linspace(0.01, 0.99, n)[n // 2 :])
     with pytest.raises(WidthExceeded) as serial:
-        recombine_e(rho, 1e-6)
+        splat(rho)
     with pytest.raises(WidthExceeded) as par:
-        parallel_recombine_e(rho, 1e-6, workers)
+        parallel_build(rho, workers=workers)
     assert str(par.value) == str(serial.value)
 
 
 def test_build_width_error_matches_splat():
-    from polyfactor.recombine import splat
-
     rho = RhoVector.from_values(np.linspace(0.01, 0.99, 32))
     with pytest.raises(WidthExceeded) as serial:
         splat(rho)
@@ -150,11 +115,6 @@ def test_worker_validation():
     rho = rho_of(6, 6)
     with pytest.raises(ValueError):
         parallel_build(rho, workers=0)
-    tab = parallel_build(rho, workers=1)
-    with pytest.raises(ValueError):
-        parallel_query_sweep(rho, tab, 1e-6, workers=0)
-    with pytest.raises(ValueError):  # a table of all of rho, not its high half
-        parallel_query_sweep(rho, tab, 1e-6, workers=1)
 
 
 def test_worker_exception_reaches_the_caller():

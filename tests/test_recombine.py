@@ -9,7 +9,6 @@ from polyfactor.polynomial import gen_random_reducible
 from polyfactor.recombine import (
     BACKENDS,
     EMPTY,
-    FixedPointConfig,
     RecombineStats,
     RhoVector,
     ValueTable,
@@ -189,36 +188,15 @@ def _parity_vectors(seed: int):
                 yield kind(n), (1e-3, 1e-6, 1e-9)[(n + i) % 3]
 
 
-def _serial_e_reference(rho: RhoVector, eps: float) -> RecombineStats:
-    """Backend e's counters from the single-op table process: insert() every
-    high-half value in pattern order, then walk the table once per low-half
-    pattern with _probe_window."""
-    from polyfactor.recombine import GUARD, _probe_window
-
-    na = len(rho) // 2
-    lo, hi = subset_sums(rho.values[:na]), subset_sums(rho.values[na:])
-    lo -= np.floor(lo)
-    hi -= np.floor(hi)
-    st = RecombineStats(visited=len(lo) + len(hi))
-    tab = empty_table(len(rho) - na)
-    for s, x in enumerate(hi.tolist()):
-        insert(x, s, tab, st)
-    vals, pats = tab.values.tolist(), tab.patterns.tolist()
-    for x in lo.tolist():
-        _, probes = _probe_window(vals, pats, tab.capacity, (1.0 - x) % 1.0, eps + GUARD)
-        st.queries += 1
-        st.query_probes += probes
-    return st
-
-
 def test_recombine_e_reference_parity():
-    # backend e's window queries give backend a's set, and its five counters
-    # equal those of the serial table process they replace
+    # backend e's window queries give backend a's set; it forms the subset
+    # sums of both halves and queries once per low-half pattern
     for vals, eps in _parity_vectors(33):
         rho = rv(vals)
+        n, na = len(rho), len(rho) // 2
         st = RecombineStats()
         assert recombine_e(rho, eps, st).patterns == recombine_a(rho, eps).patterns
-        assert st == _serial_e_reference(rho, eps), (vals, eps)
+        assert st == RecombineStats(visited=2**na + 2 ** (n - na), queries=2**na), (vals, eps)
 
 
 def test_jump_soundness_exhaustive():
@@ -567,6 +545,14 @@ def test_width_guards_c_d_e():
         recombine_e(rv([0.5] * 63), EPS)
 
 
+@pytest.mark.parametrize("backend", [recombine_c, recombine_d, recombine_e])
+def test_candidate_volume_guard_c_d_e(backend):
+    # every one of the 2^40 patterns of 40 zeros is a candidate: the window
+    # query fails on its pair count before allocating the pairs
+    with pytest.raises(WidthExceeded, match=r"1,099,511,627,776 pairs .*n = 40, eps = 1e-06"):
+        backend(rv([0.0] * 40), EPS)
+
+
 # --- estimators -------------------------------------------------------------
 
 
@@ -598,33 +584,3 @@ def test_splat_cost_bounds_values():
     assert hi == pytest.approx(1.0, abs=1e-6)
     with pytest.raises(ValueError):
         splat_cost_bounds(1.0)
-
-
-# --- fixed point mode -------------------------------------------------------
-
-
-def test_fixed_point_scale_and_accept():
-    fp = FixedPointConfig()
-    assert fp.supports_eps(1e-6)
-    rho = rv([0.25, 0.75, 0.5])
-    scaled = fp.scale(rho)
-    assert scaled.tolist() == [1 << 30, 3 << 30, 1 << 31]
-    assert fp.accept(fp.value(0b011, scaled))  # exact integer sum
-    assert not fp.accept(fp.value(0b001, scaled))
-
-
-def test_fixed_point_reproducible_across_orderings():
-    # scanning patterns in any order yields the same accepted set, bit for bit
-    rng = random.Random(19)
-    rho = rv(sorted(rng.random() for _ in range(12)))
-    fp = FixedPointConfig()
-    scaled = fp.scale(rho)
-    n = len(rho)
-    slack = n  # floor scaling spreads integer sums across n residues
-    forward = {s for s in range(1 << (n - 1)) if fp.accept(fp.value(s, scaled), slack)}
-    backward = {
-        s for s in reversed(range(1 << (n - 1))) if fp.accept(fp.value(s, scaled), slack)
-    }
-    assert forward == backward
-    float_set = recombine_a(rho, EPS).patterns
-    assert float_set <= forward | {0}

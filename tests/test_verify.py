@@ -155,17 +155,35 @@ def test_factor_non_monic_product_splits_fully():
         assert m == 1 and divide_exact(p, q) is not None
 
 
-@pytest.mark.parametrize("eps", [1e-6, 1e-9])
+# x^5 - 100x^4 - 1 has the real root u = 100 + 1.0e-8: its degree-1
+# candidate passes trace_test, while its order-2 trace u^2 is off the lattice
+# by 2.0e-6 with a resolvable scale. Stage 1 runs only on chunks holding a
+# candidate of degree 2 or more, which the factor x - 3 supplies; there only
+# stage 1's degree term keeps u
+NEAR_INTEGER_ROOT = P([-1, 0, 0, 0, -100, 1])
+
+
 @pytest.mark.parametrize(
-    "kind,size",
-    [("sd", 2), ("sd", 3), ("sd", 4), ("random", 16), ("random", 28), ("random", 40), ("random", 56)],
+    "kind,size,eps",
+    [
+        pytest.param(kind, size, eps, id=f"{kind}-{size}-{eps}")
+        for eps in (1e-6, 1e-9)
+        for kind, size in [
+            ("sd", 2), ("sd", 3), ("sd", 4),
+            ("random", 16), ("random", 28), ("random", 40), ("random", 56),
+        ]
+    ]
+    + [pytest.param("near-integer", 6, 1e-6, id="near-integer-6-1e-06")],
 )
 def test_screen_matches_per_candidate_trace_test(kind, size, eps):
-    # Swinnerton-Dyer f2..f4, and random products of degree `size`
+    # Swinnerton-Dyer f2..f4, random products of degree `size`, and a
+    # degree-6 input with a near-integer irrational root
     if kind == "sd":
         p = gen_swinnerton_dyer(size)
-    else:
+    elif kind == "random":
         p = multiply(*gen_random_reducible_parts(size, 100, seed=size))
+    else:
+        p = NEAR_INTEGER_ROOT * P([-3, 1])
     cfg = ToleranceConfig(eps=eps)
     prof = profile_polynomial(p, cfg)
     patterns = recombine_e(RhoVector.from_profile(prof), eps).nontrivial()
@@ -176,6 +194,19 @@ def test_screen_matches_per_candidate_trace_test(kind, size, eps):
     assert [e for _, e, _ in screened] == [selected_degree(s, prof) for s in ordered]
     want = [trace_test(build_candidate(s, prof), eps) for s in ordered]
     assert [ok for _, _, ok in screened] == want
+
+
+@pytest.mark.parametrize(
+    "p,counts",
+    [(NEAR_INTEGER_ROOT, (1, 1, 0)), (NEAR_INTEGER_ROOT * P([-3, 1]), (3, 1, 0))],
+    ids=["alone", "times-x-3"],
+)
+def test_near_integer_root_candidate_passes_the_screen(p, counts):
+    # the screen passes u's degree-1 candidate and exact division rejects it;
+    # with x - 3, the pattern {u, 3} shares a root with the confirmed x - 3
+    # and is never reached
+    stats = factor(p, ToleranceConfig(eps=1e-6)).stats
+    assert (stats.candidates, stats.rejected, stats.screen_rejected) == counts
 
 
 def test_screen_stages_cover_every_kind():
