@@ -1,10 +1,13 @@
 """Numerical root finding and root classification.
 
 The solver is a simultaneous (all roots at once) fixed-point iteration with a
-Newton polish, started on a perturbed circle inside the Cauchy bound. Above
-degree 50 it switches to 80-bit extended floats when the platform has them,
-so that sums of ~50 fractional parts still resolve integers well below the
-acceptance tolerance.
+Newton polish. It starts from the eigenvalues of the double-precision
+companion matrix, which are already close to the roots, and refines them in
+80-bit extended floats when the platform has them, so that one or two sweeps
+reach the stop rule and sums of ~50 fractional parts still resolve integers
+well below the acceptance tolerance. Inputs whose companion matrix cannot be
+formed or gives no distinct finite eigenvalues in double precision start on
+a perturbed circle inside the Cauchy bound instead.
 """
 from __future__ import annotations
 
@@ -17,7 +20,6 @@ from .errors import NonConvergence, UnpairedComplexRoot
 from .polynomial import IntPolynomial
 
 _HAS_EXTENDED = np.finfo(np.longdouble).nmant > 52
-_EXTENDED_DEGREE = 50  # switch point for the auto precision tier
 
 
 @dataclass(frozen=True)
@@ -26,7 +28,9 @@ class ToleranceConfig:
 
     eps drives candidate acceptance (how close a subset sum must be to an
     integer), root_tol stops the root iteration, imag_threshold separates
-    real roots from conjugate pairs (scaled by root magnitude).
+    real roots from conjugate pairs (scaled by root magnitude). precision
+    sets the float type of the root iteration: auto and extended use 80-bit
+    extended floats where the platform has them, double uses float64.
     """
 
     eps: float = 1e-6
@@ -45,14 +49,10 @@ class ToleranceConfig:
         if self.precision not in ("auto", "double", "extended"):
             raise ValueError("precision must be auto, double, or extended")
 
-    def complex_dtype(self, degree: int):
-        if self.precision == "double":
+    def complex_dtype(self):
+        if self.precision == "double" or not _HAS_EXTENDED:
             return np.complex128
-        if self.precision == "extended":
-            return np.clongdouble if _HAS_EXTENDED else np.complex128
-        if degree > _EXTENDED_DEGREE and _HAS_EXTENDED:
-            return np.clongdouble
-        return np.complex128
+        return np.clongdouble
 
 
 @dataclass(frozen=True)
@@ -114,7 +114,7 @@ def find_roots(p: IntPolynomial, cfg: ToleranceConfig | None = None) -> np.ndarr
         raise ValueError("find_roots requires degree >= 1")
     if p.is_zero():
         raise ValueError("zero polynomial has no root set")
-    cdtype = cfg.complex_dtype(d)
+    cdtype = cfg.complex_dtype()
     rdtype = np.longdouble if cdtype == np.clongdouble else np.float64
 
     c = np.array([_to_float(a, rdtype) for a in p.coeffs], dtype=cdtype)
@@ -127,16 +127,40 @@ def find_roots(p: IntPolynomial, cfg: ToleranceConfig | None = None) -> np.ndarr
     return _symmetrize(np.asarray(z, dtype=np.complex128), cfg)
 
 
-def _aberth(c: np.ndarray, cfg: ToleranceConfig, cdtype) -> np.ndarray:
+def _eigenvalue_start(c: np.ndarray) -> np.ndarray | None:
+    """Eigenvalues of the double-precision companion matrix of the monic c,
+    or None when they cannot seed the iteration: a coefficient that is not
+    finite in double precision, or eigenvalues that are not finite or not
+    pairwise distinct (the iteration divides by z_i - z_j)."""
+    with np.errstate(over="ignore"):
+        c64 = c.real.astype(np.float64)
+    if not np.all(np.isfinite(c64)):
+        return None
+    z = np.roots(c64[::-1])
+    # equal values sort next to each other; np.unique would do, but its
+    # first call costs milliseconds
+    ordered = np.sort(z)
+    if not np.all(np.isfinite(z)) or np.any(np.diff(ordered) == 0):
+        return None
+    return z
+
+
+def _circle_start(c: np.ndarray, cdtype) -> np.ndarray:
     d = len(c) - 1
-    dc = c[1:] * np.arange(1, d + 1, dtype=cdtype)
     cauchy = 1.0 + float(np.max(np.abs(c[:-1])))
     inner = 1.0 + abs(complex(c[0])) ** (1.0 / d)
     rad = min(cauchy, inner)
     k = np.arange(d)
     # irrational-ish angle offset and radius jitter break conjugate lockstep
     ang = 2 * np.pi * k / d + 0.4
-    z = (rad * np.exp(1j * ang) * (1 + 0.08 * np.cos(3.7 * k + 1.2))).astype(cdtype)
+    return (rad * np.exp(1j * ang) * (1 + 0.08 * np.cos(3.7 * k + 1.2))).astype(cdtype)
+
+
+def _aberth(c: np.ndarray, cfg: ToleranceConfig, cdtype) -> np.ndarray:
+    d = len(c) - 1
+    dc = c[1:] * np.arange(1, d + 1, dtype=cdtype)
+    z = _eigenvalue_start(c)
+    z = _circle_start(c, cdtype) if z is None else z.astype(cdtype)
 
     tiny = np.finfo(cdtype).tiny
     for _ in range(cfg.max_iterations):

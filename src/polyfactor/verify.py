@@ -112,32 +112,18 @@ def build_candidate(s: int, profile: RootProfile) -> CandidateFactor:
         mags = ext
 
     e = len(coeffs) - 1
+    powers, scale_rows = _power_sum_rows(
+        np.array(reals, dtype=ld),
+        np.array([psum for psum, _ in pairs], dtype=ld),
+        np.array([pprod for _, pprod in pairs], dtype=ld),
+        e,
+    )
+    # one row at a time, reals then pairs, so every trace sums in one order
     traces = np.zeros(e, dtype=ld)
     scales = np.zeros(e, dtype=ld)
-    upow = [u for u in reals]
-    uabs = [abs(u) for u in reals]
-    # pair power sums: (previous, current), starting at p_0 = 2, p_1 = t
-    pstate = [(ld(2.0), psum) for psum, _ in pairs]
-    pmag = [ld(2.0) * np.sqrt(pprod) for _, pprod in pairs]
-    for m in range(1, e + 1):
-        tr = ld(0.0)
-        sc = ld(0.0)
-        for idx in range(len(reals)):
-            tr += upow[idx]
-            sc += uabs[idx]
-        for idx in range(len(pairs)):
-            tr += pstate[idx][1]
-            sc += pmag[idx]
-        traces[m - 1] = tr
-        scales[m - 1] = sc
-        if m < e:
-            for idx in range(len(reals)):
-                upow[idx] *= reals[idx]
-                uabs[idx] *= abs(reals[idx])
-            for idx, (psum, pprod) in enumerate(pairs):
-                prev, cur = pstate[idx]
-                pstate[idx] = (cur, psum * cur - pprod * prev)
-                pmag[idx] *= np.sqrt(pprod)
+    for row, scale in zip(powers, scale_rows):
+        traces += row
+        scales += scale
     return CandidateFactor(
         pattern=s, real_coeffs=coeffs, traces=traces, trace_scales=scales, coeff_scales=mags
     )
@@ -189,14 +175,34 @@ def round_and_divide(
     return None if rest is None else (q, rest)
 
 
+def _power_sum_rows(
+    reals: np.ndarray, psum: np.ndarray, pprod: np.ndarray, e_max: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Power sums and their scales for orders m = 1..e_max, one long-double
+    row per real root u (u^m and |u|^m), then one per pair x^2 - t*x + m'
+    (the recurrence p_k = t*p_{k-1} - m'*p_{k-2} from p_0 = 2, and
+    2*sqrt(m')^k). Each row is a running product, so its entries are the
+    same whichever e_max it is computed to."""
+    powers = np.cumprod(np.repeat(reals[:, None], e_max, axis=1), axis=1)
+    mags = np.cumprod(np.repeat(np.abs(reals)[:, None], e_max, axis=1), axis=1)
+
+    pair_powers = np.empty((len(psum), e_max), dtype=np.longdouble)
+    prev, cur = np.full(len(psum), np.longdouble(2.0)), psum
+    for m in range(e_max):
+        pair_powers[:, m] = cur
+        prev, cur = cur, psum * cur - pprod * prev
+    steps = np.repeat(np.sqrt(pprod)[:, None], e_max, axis=1)
+    steps[:, :1] *= np.longdouble(2.0)
+    pair_mags = np.cumprod(steps, axis=1)
+    return np.concatenate([powers, pair_powers]), np.concatenate([mags, pair_mags])
+
+
 def _trace_tables(profile: RootProfile, e_max: int) -> tuple[list[int], np.ndarray, np.ndarray]:
     """Per-entry power sums and their scales for orders m = 1..e_max.
 
     Returns the bit indices in build_candidate's summation order (real roots,
-    then pairs, each by bit index) and two long-double tables with one row per
-    index in that order: u^m and |u|^m for a real root u; for a pair
-    x^2 - t*x + m', the recurrence p_k = t*p_{k-1} - m'*p_{k-2} and
-    2*sqrt(m')^k. The values are computed exactly as build_candidate does."""
+    then pairs, each by bit index) and the two _power_sum_rows tables with
+    one row per index in that order, the rows build_candidate sums."""
     ld = np.longdouble
     r, perm = profile.r, profile.perm
     real_bits = [i for i, ent in enumerate(perm) if ent < r]
@@ -204,25 +210,7 @@ def _trace_tables(profile: RootProfile, e_max: int) -> tuple[list[int], np.ndarr
     reals = np.array([profile.real_roots[perm[i]] for i in real_bits], dtype=ld)
     psum = np.array([profile.pair_sums[perm[i] - r] for i in pair_bits], dtype=ld)
     pprod = np.array([profile.pair_products[perm[i] - r] for i in pair_bits], dtype=ld)
-
-    powers = np.cumprod(np.repeat(reals[:, None], e_max, axis=1), axis=1)
-    mags = np.cumprod(np.repeat(np.abs(reals)[:, None], e_max, axis=1), axis=1)
-
-    pair_powers = np.empty((len(pair_bits), e_max), dtype=ld)
-    prev, cur = np.full(len(pair_bits), ld(2.0)), psum
-    for m in range(e_max):
-        pair_powers[:, m] = cur
-        prev, cur = cur, psum * cur - pprod * prev
-    root = np.sqrt(pprod)
-    steps = np.repeat(root[:, None], e_max, axis=1)
-    steps[:, 0] *= ld(2.0)
-    pair_mags = np.cumprod(steps, axis=1)
-
-    return (
-        real_bits + pair_bits,
-        np.concatenate([powers, pair_powers]),
-        np.concatenate([mags, pair_mags]),
-    )
+    return (real_bits + pair_bits, *_power_sum_rows(reals, psum, pprod, e_max))
 
 
 def screen_candidates(patterns, profile: RootProfile, eps: float):

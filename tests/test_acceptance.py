@@ -215,7 +215,7 @@ def test_criterion_7_parallel_correctness():
 def test_criterion_8_real_root_trend():
     """Over 500 random degree-d polynomials for d in {10, 30, 100}, the mean
     real-root count stays within an additive constant of 2 of (2/pi) ln d."""
-    cfg = ToleranceConfig()  # auto tier: extended precision above degree 50
+    cfg = ToleranceConfig()  # auto tier: extended precision where available
     report = []
     for d in (10, 30, 100):
         rng = random.Random(90 + d)

@@ -96,6 +96,28 @@ def test_nonconvergence_surfaces():
         find_roots(P([rng_c for rng_c in (-73, 12, 55, -9, 1, 44, 1)]), cfg)
 
 
+def test_eigenvalue_start_converges_within_four_sweeps():
+    # from a circle the iteration needs about 30 sweeps at this degree; from
+    # the companion-matrix eigenvalues it needs one or two
+    rng = random.Random(64)
+    p = P([rng.randint(-100, 100) for _ in range(32)] + [1]) * P(
+        [rng.randint(-100, 100) for _ in range(32)] + [1]
+    )
+    cfg = ToleranceConfig(max_iterations=4)
+    roots = find_roots(p, cfg)
+    assert len(roots) == 64
+    for z in roots:
+        assert abs(p.evaluate(complex(z))) <= residual_bound(p, complex(z), cfg.root_tol)
+
+
+def test_coefficients_beyond_double_range_start_on_the_circle():
+    # 10^320 overflows a double, so the companion matrix cannot seed the
+    # iteration; the extended-precision circle start still finds every root
+    p = P([1] + [0] * 29 + [10**320] + [0] * 29 + [1])
+    roots = find_roots(p, CFG)
+    assert len(roots) == 60
+
+
 def test_profile_mixed_real_and_pairs():
     # (x^2 - 2)(x^2 + 1): reals +-sqrt2, one pair with sum 0
     p = P([-2, 0, -1, 0, 1])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from polyfactor import verify
-from polyfactor.errors import WidthExceeded
+from polyfactor.errors import NonConvergence, WidthExceeded
 from polyfactor.polynomial import (
     IntPolynomial,
     divide_exact,
@@ -67,6 +67,75 @@ def test_build_candidate_two_reals():
     assert np.asarray(cand.real_coeffs, dtype=float).tolist() == pytest.approx(
         [-2.0, 0.0, 1.0], abs=1e-9
     )
+
+
+def reference_traces(s, profile):
+    """build_candidate's traces and trace scales the scalar way: one power
+    per selected root, summed order by order, reals then pairs."""
+    ld = np.longdouble
+    reals, pairs = [], []
+    for i, ent in enumerate(profile.perm):
+        if s >> i & 1:
+            if ent < profile.r:
+                reals.append(ld(profile.real_roots[ent]))
+            else:
+                j = ent - profile.r
+                pairs.append((ld(profile.pair_sums[j]), ld(profile.pair_products[j])))
+    e = len(reals) + 2 * len(pairs)
+    traces = np.zeros(e, dtype=ld)
+    scales = np.zeros(e, dtype=ld)
+    upow = list(reals)
+    uabs = [abs(u) for u in reals]
+    pstate = [(ld(2.0), psum) for psum, _ in pairs]
+    pmag = [ld(2.0) * np.sqrt(pprod) for _, pprod in pairs]
+    for m in range(1, e + 1):
+        tr = ld(0.0)
+        sc = ld(0.0)
+        for idx in range(len(reals)):
+            tr += upow[idx]
+            sc += uabs[idx]
+        for idx in range(len(pairs)):
+            tr += pstate[idx][1]
+            sc += pmag[idx]
+        traces[m - 1] = tr
+        scales[m - 1] = sc
+        for idx in range(len(reals)):
+            upow[idx] *= reals[idx]
+            uabs[idx] *= abs(reals[idx])
+        for idx, (psum, pprod) in enumerate(pairs):
+            prev, cur = pstate[idx]
+            pstate[idx] = (cur, psum * cur - pprod * prev)
+            pmag[idx] *= np.sqrt(pprod)
+    return traces, scales
+
+
+# the seven factors of a degree-30 product with two roots 0.0053 apart near
+# 0.58 (root condition number 1.0e6)
+CLUSTERED_FACTORS = [
+    [-18, 13, -15, -4, 20, -14, 1],
+    [-12, 19, 1],
+    [-15, 8, -5, 4, 7, 5, -10, 1],
+    [-12, 19, 11, -7, -13, 1],
+    [6, -13, -2, -3, -5, 4, 1],
+    [-8, 13, 1],
+    [-19, 20, 1],
+]
+
+
+@pytest.mark.parametrize(
+    "p",
+    [gen_swinnerton_dyer(4), P([-1] + [0] * 23 + [1]), functools.reduce(multiply, map(P, CLUSTERED_FACTORS))],
+    ids=["sd-f4", "x24-1", "clustered-d30"],
+)
+def test_build_candidate_traces_match_scalar_reference(p):
+    prof = profile_polynomial(p, CFG)
+    patterns = recombine_e(RhoVector.from_profile(prof), CFG.eps).nontrivial()
+    assert len(patterns) > 50
+    for s in patterns:
+        cand = build_candidate(s, prof)
+        traces, scales = reference_traces(s, prof)
+        assert np.array_equal(cand.traces, traces)
+        assert np.array_equal(cand.trace_scales, scales)
 
 
 def test_swinnerton_dyer_dual_pair_candidate():
@@ -341,6 +410,43 @@ def test_factor_constructed_product():
     res = factor(P([-2, 0, -1, 0, 1]))
     assert res.factors == ((P([-2, 0, 1]), 1), (P([1, 0, 1]), 1))
     assert res.certificate
+
+
+def product_factors_into(factors):
+    want = sorted(P(f).coeffs for f in factors)
+    res = factor(functools.reduce(multiply, map(P, factors)))
+    assert res.certificate
+    assert sorted(g.coeffs for g, _ in res.factors) == want
+    assert all(mult == 1 for _, mult in res.factors)
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [
+        CLUSTERED_FACTORS,
+        [
+            [-711070233, 264728931, -779301586, 624180670, 1],
+            [-688801561, -887590468, 172407674, 543925881, 1],
+            [471108460, 701335365, 743315116, -920092363, 915996000, 271121375,
+             -688604942, 758699953, 664870474, 1],
+        ],
+    ],
+    ids=["clustered-roots", "1e9-coefficients"],
+)
+def test_ill_conditioned_products_factor(factors):
+    # the first raised NonConvergence when the root iteration started on a
+    # circle in double precision; the second came back as one irreducible
+    product_factors_into(factors)
+
+
+@pytest.mark.parametrize("m", range(9, 14))
+def test_wilkinson_products_split_into_linear_factors(m):
+    product_factors_into([[-k, 1] for k in range(1, m + 1)])
+
+
+def test_wilkinson_16_raises_nonconvergence():
+    with pytest.raises(NonConvergence):
+        factor(functools.reduce(multiply, (P([-k, 1]) for k in range(1, 17))))
 
 
 def test_factor_square_free_path():
