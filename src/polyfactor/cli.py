@@ -107,10 +107,6 @@ def parse_polynomial(text: str) -> IntPolynomial:
     return IntPolynomial([coeffs.get(i, 0) for i in range(top + 1)])
 
 
-def _build_cfg(args) -> ToleranceConfig:
-    return ToleranceConfig(eps=args.eps, precision=args.precision)
-
-
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -130,7 +126,7 @@ def cmd_factor(args) -> int:
     if p.is_constant():
         print("parse error: factor requires a non-constant polynomial", file=sys.stderr)
         return EXIT_PARSE
-    cfg = _build_cfg(args)
+    cfg = ToleranceConfig(eps=args.eps)
     if args.dump_roots:
         roots = find_roots(p.primitive_part(), cfg)
         with open(args.dump_roots, "w") as fh:
@@ -362,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("polynomial", help='coefficient list "1 0 -10 0 1" or symbolic "x^4-10*x^2+1"')
     f.add_argument("--backend", choices=list("abcde"), default="e")
     f.add_argument("--eps", type=_eps, default=1e-6)
-    f.add_argument("--precision", choices=["auto", "double", "extended"], default="auto")
     f.add_argument("--workers", type=_positive_int, default=1)
     f.add_argument("--json", action="store_true", help="machine-readable output")
     f.add_argument("--dump-roots", metavar="PATH", help="write roots as CSV (re,im)")

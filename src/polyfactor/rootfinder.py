@@ -28,15 +28,14 @@ class ToleranceConfig:
 
     eps drives candidate acceptance (how close a subset sum must be to an
     integer), root_tol stops the root iteration, imag_threshold separates
-    real roots from conjugate pairs (scaled by root magnitude). precision
-    sets the float type of the root iteration: auto and extended use 80-bit
-    extended floats where the platform has them, double uses float64.
+    real roots from conjugate pairs (scaled by root magnitude). The root
+    iteration runs in 80-bit extended floats where the platform has them,
+    and in float64 otherwise.
     """
 
     eps: float = 1e-6
     root_tol: float = 1e-12
     imag_threshold: float = 1e-9
-    precision: str = "auto"  # auto | double | extended
     max_iterations: int = 500
 
     def __post_init__(self):
@@ -46,13 +45,6 @@ class ToleranceConfig:
             raise ValueError("root_tol must be positive")
         if self.imag_threshold <= 0:
             raise ValueError("imag_threshold must be positive")
-        if self.precision not in ("auto", "double", "extended"):
-            raise ValueError("precision must be auto, double, or extended")
-
-    def complex_dtype(self):
-        if self.precision == "double" or not _HAS_EXTENDED:
-            return np.complex128
-        return np.clongdouble
 
 
 @dataclass(frozen=True)
@@ -114,8 +106,8 @@ def find_roots(p: IntPolynomial, cfg: ToleranceConfig | None = None) -> np.ndarr
         raise ValueError("find_roots requires degree >= 1")
     if p.is_zero():
         raise ValueError("zero polynomial has no root set")
-    cdtype = cfg.complex_dtype()
-    rdtype = np.longdouble if cdtype == np.clongdouble else np.float64
+    rdtype = np.longdouble if _HAS_EXTENDED else np.float64
+    cdtype = np.clongdouble if _HAS_EXTENDED else np.complex128
 
     c = np.array([_to_float(a, rdtype) for a in p.coeffs], dtype=cdtype)
     c = c / c[-1]

@@ -41,14 +41,11 @@ _SCREEN_CHUNK = 1024
 @dataclass(frozen=True)
 class CandidateFactor:
     """A real factor rebuilt from a pattern: monic coefficients (extended
-    precision) plus the power-sum traces of its selected roots. coeff_scales
-    holds the size of each coefficient's terms (the coefficients of the
-    product with every root taken in absolute value)."""
+    precision). coeff_scales holds the size of each coefficient's terms (the
+    coefficients of the product with every root taken in absolute value)."""
 
     pattern: int
     real_coeffs: np.ndarray
-    traces: np.ndarray
-    trace_scales: np.ndarray
     coeff_scales: np.ndarray
 
     @property
@@ -69,9 +66,8 @@ def selected_degree(s: int, profile: RootProfile) -> int:
 
 
 def build_candidate(s: int, profile: RootProfile) -> CandidateFactor:
-    """Multiply out the selected linear and quadratic pieces and accumulate
-    power sums. Pair traces use the recurrence p_k = t*p_{k-1} - m*p_{k-2}
-    of the quadratic x^2 - t*x + m, so everything stays in real arithmetic."""
+    """Multiply out the selected linear and quadratic pieces x - u and
+    x^2 - t*x + m, so everything stays in real arithmetic."""
     ld = np.longdouble
     coeffs = np.array([1.0], dtype=ld)
     reals: list = []
@@ -111,37 +107,25 @@ def build_candidate(s: int, profile: RootProfile) -> CandidateFactor:
         ext[:-2] += pprod * mags
         mags = ext
 
-    e = len(coeffs) - 1
-    powers, scale_rows = _power_sum_rows(
-        np.array(reals, dtype=ld),
-        np.array([psum for psum, _ in pairs], dtype=ld),
-        np.array([pprod for _, pprod in pairs], dtype=ld),
-        e,
-    )
-    # one row at a time, reals then pairs, so every trace sums in one order
-    traces = np.zeros(e, dtype=ld)
-    scales = np.zeros(e, dtype=ld)
-    for row, scale in zip(powers, scale_rows):
-        traces += row
-        scales += scale
-    return CandidateFactor(
-        pattern=s, real_coeffs=coeffs, traces=traces, trace_scales=scales, coeff_scales=mags
-    )
+    return CandidateFactor(pattern=s, real_coeffs=coeffs, coeff_scales=mags)
 
 
-def trace_test(cand: CandidateFactor, eps: float) -> bool:
-    """Screen a candidate by integrality of its power-sum traces.
+def trace_test(traces: np.ndarray, scales: np.ndarray, eps: float) -> bool:
+    """Screen a candidate by integrality of its power-sum traces of orders
+    m = 1..e, given with their scales (the power sums of the selected roots'
+    absolute values).
 
     A trace is only consulted while it is numerically resolvable: once
     m * scale * (per-root error budget) exceeds eps, the float value could
     not distinguish integer from non-integer and the decision is deferred to
-    the exact division stage."""
-    for m0 in range(len(cand.traces)):
+    the exact division stage. screen_candidates applies this rule to many
+    candidates at once."""
+    for m0 in range(len(traces)):
         m = m0 + 1
-        scale = float(cand.trace_scales[m0])
+        scale = float(scales[m0])
         if m * scale * _TRACE_REL >= eps or scale >= _INT_LIMIT:
             continue
-        tr = cand.traces[m0]
+        tr = traces[m0]
         if abs(float(tr - np.rint(tr))) >= eps:
             return False
     return True
@@ -175,34 +159,15 @@ def round_and_divide(
     return None if rest is None else (q, rest)
 
 
-def _power_sum_rows(
-    reals: np.ndarray, psum: np.ndarray, pprod: np.ndarray, e_max: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Power sums and their scales for orders m = 1..e_max, one long-double
-    row per real root u (u^m and |u|^m), then one per pair x^2 - t*x + m'
-    (the recurrence p_k = t*p_{k-1} - m'*p_{k-2} from p_0 = 2, and
-    2*sqrt(m')^k). Each row is a running product, so its entries are the
-    same whichever e_max it is computed to."""
-    powers = np.cumprod(np.repeat(reals[:, None], e_max, axis=1), axis=1)
-    mags = np.cumprod(np.repeat(np.abs(reals)[:, None], e_max, axis=1), axis=1)
-
-    pair_powers = np.empty((len(psum), e_max), dtype=np.longdouble)
-    prev, cur = np.full(len(psum), np.longdouble(2.0)), psum
-    for m in range(e_max):
-        pair_powers[:, m] = cur
-        prev, cur = cur, psum * cur - pprod * prev
-    steps = np.repeat(np.sqrt(pprod)[:, None], e_max, axis=1)
-    steps[:, :1] *= np.longdouble(2.0)
-    pair_mags = np.cumprod(steps, axis=1)
-    return np.concatenate([powers, pair_powers]), np.concatenate([mags, pair_mags])
-
-
 def _trace_tables(profile: RootProfile, e_max: int) -> tuple[list[int], np.ndarray, np.ndarray]:
     """Per-entry power sums and their scales for orders m = 1..e_max.
 
-    Returns the bit indices in build_candidate's summation order (real roots,
-    then pairs, each by bit index) and the two _power_sum_rows tables with
-    one row per index in that order, the rows build_candidate sums."""
+    Returns the bit indices in summation order (real roots, then pairs,
+    each by bit index) and two long-double tables with one row per index in
+    that order: for a real root u, u^m and |u|^m; for a pair x^2 - t*x + m',
+    the recurrence p_k = t*p_{k-1} - m'*p_{k-2} from p_0 = 2, and
+    2*sqrt(m')^k. Each row is a running product, so its entries are the
+    same whichever e_max it is computed to."""
     ld = np.longdouble
     r, perm = profile.r, profile.perm
     real_bits = [i for i, ent in enumerate(perm) if ent < r]
@@ -210,13 +175,29 @@ def _trace_tables(profile: RootProfile, e_max: int) -> tuple[list[int], np.ndarr
     reals = np.array([profile.real_roots[perm[i]] for i in real_bits], dtype=ld)
     psum = np.array([profile.pair_sums[perm[i] - r] for i in pair_bits], dtype=ld)
     pprod = np.array([profile.pair_products[perm[i] - r] for i in pair_bits], dtype=ld)
-    return (real_bits + pair_bits, *_power_sum_rows(reals, psum, pprod, e_max))
+
+    powers = np.cumprod(np.repeat(reals[:, None], e_max, axis=1), axis=1)
+    mags = np.cumprod(np.repeat(np.abs(reals)[:, None], e_max, axis=1), axis=1)
+    pair_powers = np.empty((len(psum), e_max), dtype=ld)
+    prev, cur = np.full(len(psum), ld(2.0)), psum
+    for m in range(e_max):
+        pair_powers[:, m] = cur
+        prev, cur = cur, psum * cur - pprod * prev
+    steps = np.repeat(np.sqrt(pprod)[:, None], e_max, axis=1)
+    steps[:, :1] *= ld(2.0)
+    pair_mags = np.cumprod(steps, axis=1)
+    return (
+        real_bits + pair_bits,
+        np.concatenate([powers, pair_powers]),
+        np.concatenate([mags, pair_mags]),
+    )
 
 
 def screen_candidates(patterns, profile: RootProfile, eps: float):
     """Yield (pattern, degree, passed) for every pattern, in (degree,
     pattern) order, where degree is selected_degree(s) and passed is
-    trace_test(build_candidate(s), eps).
+    trace_test's verdict on the pattern's traces and scales, each summed
+    over the selected rows of _trace_tables in their order.
 
     Each chunk is screened in two stages, both products of its bit matrix
     with the tables of _trace_tables. Stage 1 takes the order-2 column of
@@ -226,7 +207,7 @@ def screen_candidates(patterns, profile: RootProfile, eps: float):
     recombination already tested. Stage 2 gives the rows stage 1 kept the
     scales of every order, then the traces of the orders some row consults,
     and applies trace_test's rule to all of them. Every product sums in
-    build_candidate's order, and the rule is applied unchanged. Chunks are
+    _trace_tables' row order, and the rule is applied unchanged. Chunks are
     screened lazily, so a caller that stops at some degree never screens the
     chunks after it."""
     pats = np.fromiter(patterns, dtype=np.uint64, count=len(patterns))

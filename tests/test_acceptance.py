@@ -9,7 +9,6 @@ import random
 import time
 
 import numpy as np
-import pytest
 
 from polyfactor.parallel import parallel_build, serial_reference_table
 from polyfactor.polynomial import (
@@ -38,7 +37,6 @@ def _sorted_rho(rng: random.Random, n: int) -> RhoVector:
     return RhoVector.from_values(sorted(rng.random() for _ in range(n)))
 
 
-@pytest.mark.slow
 def test_criterion_1_oracle_equivalence():
     """Backends b..e return exactly backend a's candidate set (zero tolerance)
     for 200 random rho vectors at each n in {8, 12, 16, 20, 24}; under 5 min."""
@@ -107,7 +105,6 @@ def test_criterion_4_splat_probe_constant():
     print(f"ACCEPTANCE 4 splat probe constant: PASS ({pretty})")
 
 
-@pytest.mark.slow
 def test_criterion_5_jump_scan_speedup():
     """Mean visited-pattern ratio of the exhaustive scan to the jump scan at
     n in {20, 24, 28} lies within a factor of 2 of the closed-form 2^l / l,
@@ -215,7 +212,7 @@ def test_criterion_7_parallel_correctness():
 def test_criterion_8_real_root_trend():
     """Over 500 random degree-d polynomials for d in {10, 30, 100}, the mean
     real-root count stays within an additive constant of 2 of (2/pi) ln d."""
-    cfg = ToleranceConfig()  # auto tier: extended precision where available
+    cfg = ToleranceConfig()
     report = []
     for d in (10, 30, 100):
         rng = random.Random(90 + d)

@@ -200,12 +200,15 @@ def test_recombine_e_reference_parity():
 
 
 def test_jump_soundness_exhaustive():
-    # replay the scan; every pattern skipped by a jump must fail accept
+    # replay the scan; every pattern skipped by a jump must fail accept, and
+    # backend b's leaves are exactly the patterns the replay visits
     rng = random.Random(21)
     vectors = [
         sorted(rng.random() for _ in range(10)),
         [0.0, 0.0] + sorted(rng.random() for _ in range(8)),
         [3e-7] + sorted(rng.random() for _ in range(9)),
+        [0.0] * 12,
+        [0.5] * 12,
     ]
     for vals in vectors:
         rho = rv(vals)
@@ -219,6 +222,9 @@ def test_jump_soundness_exhaustive():
         for t in range(1 << (n - 1)):
             if t not in visited:
                 assert not accept(value(t, rho), EPS)
+        st = RecombineStats()
+        recombine_b(rho, EPS, st)
+        assert st.visited == len(visited), vals
 
 
 # --- expand / find ----------------------------------------------------------

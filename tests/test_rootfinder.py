@@ -203,19 +203,17 @@ def test_real_root_count_trend_smoke():
     # small-sample version of the full trend check in the acceptance suite
     rng = random.Random(17)
     d = 20
-    cfg = ToleranceConfig(precision="double")
     counts = []
     for _ in range(120):
         p = P([rng.randint(-100, 100) for _ in range(d)] + [1])
-        roots = find_roots(p, cfg)
+        roots = find_roots(p, CFG)
         counts.append(int(sum(1 for z in roots if z.imag == 0)))
     mean = sum(counts) / len(counts)
     assert abs(mean - expected_real_roots(d)) < 2.5
 
 
 def test_extended_precision_tier():
-    cfg = ToleranceConfig(precision="extended")
-    roots = find_roots(P([-2, 0, 1]), cfg)
+    roots = find_roots(P([-2, 0, 1]), CFG)
     assert sorted(z.real for z in roots) == pytest.approx([-SQRT2, SQRT2], abs=1e-14)
 
 
@@ -231,5 +229,3 @@ def test_config_validation():
         ToleranceConfig(eps=0.7)
     with pytest.raises(ValueError):
         ToleranceConfig(root_tol=0)
-    with pytest.raises(ValueError):
-        ToleranceConfig(precision="quad")

@@ -55,9 +55,10 @@ def test_build_candidate_conjugate_pair():
     assert np.asarray(cand.real_coeffs, dtype=float).tolist() == pytest.approx(
         [1.0, 0.0, 1.0], abs=1e-9
     )
-    assert trace_test(cand, CFG.eps)
-    assert float(cand.traces[0]) == pytest.approx(0.0, abs=1e-9)
-    assert float(cand.traces[1]) == pytest.approx(-2.0, abs=1e-9)
+    traces, scales = reference_traces(s, prof)
+    assert trace_test(traces, scales, CFG.eps)
+    assert float(traces[0]) == pytest.approx(0.0, abs=1e-9)
+    assert float(traces[1]) == pytest.approx(-2.0, abs=1e-9)
 
 
 def test_build_candidate_two_reals():
@@ -70,8 +71,8 @@ def test_build_candidate_two_reals():
 
 
 def reference_traces(s, profile):
-    """build_candidate's traces and trace scales the scalar way: one power
-    per selected root, summed order by order, reals then pairs."""
+    """A pattern's traces and trace scales the scalar way: one power per
+    selected root, summed order by order, reals then pairs."""
     ld = np.longdouble
     reals, pairs = [], []
     for i, ent in enumerate(profile.perm):
@@ -127,15 +128,24 @@ CLUSTERED_FACTORS = [
     [gen_swinnerton_dyer(4), P([-1] + [0] * 23 + [1]), functools.reduce(multiply, map(P, CLUSTERED_FACTORS))],
     ids=["sd-f4", "x24-1", "clustered-d30"],
 )
-def test_build_candidate_traces_match_scalar_reference(p):
+def test_trace_tables_match_scalar_reference(p):
+    # the screen's tables, their selected rows summed one at a time in
+    # table order, give the scalar reference bit for bit
     prof = profile_polynomial(p, CFG)
     patterns = recombine_e(RhoVector.from_profile(prof), CFG.eps).nontrivial()
     assert len(patterns) > 50
+    cols, powers, mags = verify._trace_tables(prof, p.degree)
     for s in patterns:
-        cand = build_candidate(s, prof)
-        traces, scales = reference_traces(s, prof)
-        assert np.array_equal(cand.traces, traces)
-        assert np.array_equal(cand.trace_scales, scales)
+        e = selected_degree(s, prof)
+        traces = np.zeros(e, dtype=np.longdouble)
+        scales = np.zeros(e, dtype=np.longdouble)
+        for k, i in enumerate(cols):
+            if s >> i & 1:
+                traces += powers[k, :e]
+                scales += mags[k, :e]
+        want_traces, want_scales = reference_traces(s, prof)
+        assert np.array_equal(traces, want_traces)
+        assert np.array_equal(scales, want_scales)
 
 
 def test_swinnerton_dyer_dual_pair_candidate():
@@ -146,10 +156,11 @@ def test_swinnerton_dyer_dual_pair_candidate():
     a = math.sqrt(2) + math.sqrt(3)
     s = pattern_for(prof, want_reals=[a, -a])
     cand = build_candidate(s, prof)
-    assert float(cand.traces[0]) == pytest.approx(0.0, abs=1e-9)
-    assert float(cand.traces[1]) == pytest.approx(2 * (5 + 2 * SQRT6), abs=1e-8)
+    traces, scales = reference_traces(s, prof)
+    assert float(traces[0]) == pytest.approx(0.0, abs=1e-9)
+    assert float(traces[1]) == pytest.approx(2 * (5 + 2 * SQRT6), abs=1e-8)
     assert float(cand.real_coeffs[0]) == pytest.approx(-(5 + 2 * SQRT6), abs=1e-9)
-    assert not trace_test(cand, CFG.eps)
+    assert not trace_test(traces, scales, CFG.eps)
     assert round_and_divide(cand, f2, CFG.eps) is None
 
 
@@ -160,9 +171,9 @@ def test_trace_test_rejects_fractional_root():
     from polyfactor.rootfinder import build_profile
 
     prof = build_profile(np.array([0.5 + 0j]), CFG)
-    cand = build_candidate(0b1, prof)
-    assert float(cand.traces[0]) == pytest.approx(0.5)
-    assert not trace_test(cand, CFG.eps)
+    traces, scales = reference_traces(0b1, prof)
+    assert float(traces[0]) == pytest.approx(0.5)
+    assert not trace_test(traces, scales, CFG.eps)
 
 
 def test_round_and_divide_accepts_known_factor():
@@ -176,8 +187,6 @@ def test_round_and_divide_rejects_off_grid_coefficient():
     cand = CandidateFactor(
         pattern=1,
         real_coeffs=np.array([0.5003, 1.0], dtype=np.longdouble),
-        traces=np.array([-0.5003], dtype=np.longdouble),
-        trace_scales=np.array([0.5003], dtype=np.longdouble),
         coeff_scales=np.array([0.5003, 1.0], dtype=np.longdouble),
     )
     assert round_and_divide(cand, P([-1, 2]), 1e-6) is None
@@ -193,8 +202,6 @@ def test_round_and_divide_scales_gate_to_coefficient_size():
         return CandidateFactor(
             pattern=1,
             real_coeffs=np.array([big + err, 1.0], dtype=np.longdouble),
-            traces=np.array([-big], dtype=np.longdouble),
-            trace_scales=np.array([big], dtype=np.longdouble),
             coeff_scales=np.array([big, 1.0], dtype=np.longdouble),
         )
 
@@ -261,7 +268,7 @@ def test_screen_matches_per_candidate_trace_test(kind, size, eps):
     ordered = sorted(patterns, key=lambda s: (selected_degree(s, prof), s))
     assert [s for s, _, _ in screened] == ordered
     assert [e for _, e, _ in screened] == [selected_degree(s, prof) for s in ordered]
-    want = [trace_test(build_candidate(s, prof), eps) for s in ordered]
+    want = [trace_test(*reference_traces(s, prof), eps) for s in ordered]
     assert [ok for _, _, ok in screened] == want
 
 
@@ -292,10 +299,10 @@ def test_screen_stages_cover_every_kind():
     kinds = Counter()
     want = []
     for s, _, _ in screened:
-        cand = build_candidate(s, prof)
-        want.append(trace_test(cand, eps))
-        off = cand.degree >= 2 and abs(float(cand.traces[1] - np.rint(cand.traces[1]))) >= eps
-        scale = float(cand.trace_scales[1]) if cand.degree >= 2 else math.inf
+        traces, scales = reference_traces(s, prof)
+        want.append(trace_test(traces, scales, eps))
+        off = len(traces) >= 2 and abs(float(traces[1] - np.rint(traces[1]))) >= eps
+        scale = float(scales[1]) if len(traces) >= 2 else math.inf
         if not (2 * scale * verify._TRACE_REL < eps and scale < verify._INT_LIMIT):
             kinds["unconsulted"] += 1
             kinds["unconsulted, off, passed"] += off and want[-1]
@@ -564,9 +571,8 @@ def test_large_true_factor_survives_trace_screen():
     matched = []
     for s in cands.nontrivial():
         for t in (s, s ^ full):
-            cand = build_candidate(t, prof)
-            if trace_test(cand, CFG.eps):
-                found = round_and_divide(cand, p, CFG.eps)
+            if trace_test(*reference_traces(t, prof), CFG.eps):
+                found = round_and_divide(build_candidate(t, prof), p, CFG.eps)
                 if found is not None:
                     matched.append(found[0])
     assert sorted(q.coeffs for q in matched) == sorted([f.coeffs, g.coeffs])
