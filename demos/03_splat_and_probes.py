@@ -1,4 +1,4 @@
-"""The distribution sort behind backends d and e, and its probe economics.
+"""The distribution sort behind backend d, and its probe economics.
 
 Each value lands near slot floor(capacity * value); collisions resolve by
 carrying the larger value one slot onward. At fill ratio 1/2 the expected

@@ -1,12 +1,12 @@
 """Integer polynomial factorization by recombination of real roots.
 
-Factor a square-free monic polynomial over the reals, take the fractional
-parts of its real roots and conjugate-pair sums, and search for subsets that
-sum to an integer; each hit is a candidate factor verified by exact integer
-division. The search is a subset-sum instance with five backends of
-increasing sophistication (exhaustive scan up to meet-in-the-middle with a
-linear-time distribution sort), plus a threaded build of the distribution
-sort's table.
+Factor each square-free part over the reals, its roots multiplied by its
+leading coefficient, take the fractional parts of the real roots and
+conjugate-pair sums, and search for subsets that sum to an integer; each hit
+is a candidate factor verified by exact integer division. The search is a
+subset-sum instance with five backends of increasing sophistication
+(exhaustive scan up to meet-in-the-middle window queries over one sorted
+half), plus a threaded build of the distribution-sort table of backend d.
 """
 
 from .errors import (

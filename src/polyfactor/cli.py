@@ -1,8 +1,8 @@
 """Command-line surface: factor, bench, gen, selftest.
 
-Exit codes: 0 ok, 2 parse or argument error, 3 root non-convergence or an
-unpaired complex root, 4 pattern width or candidate volume exceeded,
-5 selftest failure.
+Exit codes: 0 ok, 2 parse or argument error, 3 root non-convergence, roots
+a double cannot resolve, or an unpaired complex root, 4 pattern width or
+candidate volume exceeded, 5 selftest failure.
 """
 from __future__ import annotations
 
@@ -18,6 +18,7 @@ from .polynomial import (
     IntPolynomial,
     gen_random_reducible_parts,
     gen_swinnerton_dyer,
+    square_free_decompose,
 )
 from .recombine import BACKENDS
 from .rootfinder import ToleranceConfig, find_roots
@@ -128,11 +129,12 @@ def cmd_factor(args) -> int:
         return EXIT_PARSE
     cfg = ToleranceConfig(eps=args.eps)
     if args.dump_roots:
-        roots = find_roots(p.primitive_part(), cfg)
+        # find_roots needs square-free input: each part's roots, mult times
         with open(args.dump_roots, "w") as fh:
             fh.write("re,im\n")
-            for z in roots:
-                fh.write(f"{float(z.real)!r},{float(z.imag)!r}\n")
+            for part, mult in square_free_decompose(p):
+                for z in find_roots(part, cfg):
+                    fh.write(f"{float(z.real)!r},{float(z.imag)!r}\n" * mult)
     res = factor(p, cfg, backend=args.backend, workers=args.workers)
 
     if args.json:
@@ -370,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument(
         "--backends", type=_parse_backends, default="e", help="comma list from a,b,c,d,e"
     )
-    b.add_argument("--trials", type=int, default=3)
+    b.add_argument("--trials", type=_positive_int, default=3)
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--workers", type=_positive_int, default=1)
     b.add_argument(

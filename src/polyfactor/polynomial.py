@@ -50,9 +50,6 @@ class IntPolynomial:
     def is_constant(self) -> bool:
         return self.degree == 0
 
-    def is_monic(self) -> bool:
-        return self.coeffs[-1] == 1
-
     @property
     def leading(self) -> int:
         return self.coeffs[-1]
@@ -354,25 +351,6 @@ def square_free_decompose(p: IntPolynomial) -> list[SquareFreePart]:
         d = d - c.derivative()
         i += 1
     return parts
-
-
-def monic_transform(p: IntPolynomial) -> IntPolynomial:
-    """Map a primitive polynomial with lead a to the monic a^(d-1) * p(x/a).
-
-    Factors of the result pull back through :func:`monic_untransform_factor`.
-    """
-    a = p.leading
-    d = p.degree
-    if a == 1:
-        return p
-    return IntPolynomial([p.coeffs[i] * a ** (d - 1 - i) for i in range(d)] + [1])
-
-
-def monic_untransform_factor(g: IntPolynomial, lead: int) -> IntPolynomial:
-    """Pull a monic factor g(y) of the transformed polynomial back to a
-    primitive factor of the original, via y = lead * x."""
-    h = IntPolynomial([c * lead**i for i, c in enumerate(g.coeffs)])
-    return h.primitive_part()
 
 
 def gen_swinnerton_dyer(k: int) -> IntPolynomial:

@@ -7,7 +7,7 @@ fractional parts sum to within eps of an integer:
   b  the same scan with provably-sound jumps over barren pattern runs,
      run as a pruned tree of aligned pattern blocks
   c  meet in the middle: expand both halves, sort, sweep the matching line
-  d  c with the comparison sort replaced by the linear-time splat sort
+  d  c with each half laid out in a splat table after a stable argsort
   e  sort one half's values once, then window-query them with the other
      half's complements (two searchsorted calls per batch)
 

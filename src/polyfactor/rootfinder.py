@@ -98,7 +98,9 @@ def find_roots(p: IntPolynomial, cfg: ToleranceConfig | None = None) -> np.ndarr
 
     Real roots come back with exactly zero imaginary part; complex roots in
     exact conjugate pairs (each pair averaged with its mirror). Raises
-    NonConvergence if the iteration cannot reach root_tol.
+    NonConvergence if a coefficient is past the float range, if the
+    iteration cannot reach root_tol, or if a root reaches 2^62, where a
+    double has no fraction left.
     """
     cfg = cfg or ToleranceConfig()
     d = p.degree
@@ -109,14 +111,22 @@ def find_roots(p: IntPolynomial, cfg: ToleranceConfig | None = None) -> np.ndarr
     rdtype = np.longdouble if _HAS_EXTENDED else np.float64
     cdtype = np.clongdouble if _HAS_EXTENDED else np.complex128
 
-    c = np.array([_to_float(a, rdtype) for a in p.coeffs], dtype=cdtype)
+    with np.errstate(over="ignore"):
+        c = np.array([_to_float(a, rdtype) for a in p.coeffs], dtype=cdtype)
+    if not np.all(np.isfinite(c)):
+        raise NonConvergence("a coefficient is past the float range")
     c = c / c[-1]
     if d == 1:
         z = np.array([-c[0]], dtype=cdtype)
     else:
         z = _aberth(c, cfg, cdtype)
     z = _newton_polish(c, z)
-    return _symmetrize(np.asarray(z, dtype=np.complex128), cfg)
+    with np.errstate(over="ignore"):
+        z = np.asarray(z, dtype=np.complex128)
+        big = np.max(np.abs(z))
+    if not big < 2.0**62:
+        raise NonConvergence(f"a root of magnitude {big:.3g} is past 2^62")
+    return _symmetrize(z, cfg)
 
 
 def _eigenvalue_start(c: np.ndarray) -> np.ndarray | None:
@@ -138,16 +148,18 @@ def _eigenvalue_start(c: np.ndarray) -> np.ndarray | None:
 
 
 def _circle_start(c: np.ndarray, cdtype) -> np.ndarray:
+    # the radius stays extended: a coefficient can be past the double range
     d = len(c) - 1
-    cauchy = 1.0 + float(np.max(np.abs(c[:-1])))
-    inner = 1.0 + abs(complex(c[0])) ** (1.0 / d)
-    rad = min(cauchy, inner)
+    mags = np.abs(c)
+    rad = min(1 + np.max(mags[:-1]), 1 + mags[0] ** (1.0 / d))
     k = np.arange(d)
     # irrational-ish angle offset and radius jitter break conjugate lockstep
     ang = 2 * np.pi * k / d + 0.4
     return (rad * np.exp(1j * ang) * (1 + 0.08 * np.cos(3.7 * k + 1.2))).astype(cdtype)
 
 
+# a sweep's overflow or invalid operation leaves a non-finite iterate, which raises
+@np.errstate(over="ignore", invalid="ignore")
 def _aberth(c: np.ndarray, cfg: ToleranceConfig, cdtype) -> np.ndarray:
     d = len(c) - 1
     dc = c[1:] * np.arange(1, d + 1, dtype=cdtype)
@@ -171,6 +183,8 @@ def _aberth(c: np.ndarray, cfg: ToleranceConfig, cdtype) -> np.ndarray:
         denom = np.where(denom == 0, tiny, denom)
         corr = w / denom
         z = z - corr
+        if not np.all(np.isfinite(z)):
+            raise NonConvergence("root iteration reached a non-finite iterate")
         step = np.max(np.abs(corr) / np.maximum(1.0, np.abs(z)))
         if step < cfg.root_tol:
             return z

@@ -19,15 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .polynomial import (
-    IntPolynomial,
-    divide_exact,
-    monic_transform,
-    monic_untransform_factor,
-    square_free_decompose,
-)
+from .errors import NonConvergence
+from .polynomial import IntPolynomial, divide_exact, square_free_decompose
 from .recombine import BACKENDS, RecombineStats, RhoVector
-from .rootfinder import RootProfile, ToleranceConfig, build_profile, find_roots
+from .rootfinder import RootProfile, ToleranceConfig, _to_float, build_profile, find_roots
 
 # per-root relative error budget used to decide whether a trace is still
 # numerically resolvable against the integer lattice
@@ -40,9 +35,9 @@ _SCREEN_CHUNK = 1024
 
 @dataclass(frozen=True)
 class CandidateFactor:
-    """A real factor rebuilt from a pattern: monic coefficients (extended
+    """A real factor rebuilt from a pattern: lead * prod(x - root) (extended
     precision). coeff_scales holds the size of each coefficient's terms (the
-    coefficients of the product with every root taken in absolute value)."""
+    same product with every root taken in absolute value)."""
 
     pattern: int
     real_coeffs: np.ndarray
@@ -65,10 +60,12 @@ def selected_degree(s: int, profile: RootProfile) -> int:
     return e
 
 
-def build_candidate(s: int, profile: RootProfile) -> CandidateFactor:
-    """Multiply out the selected linear and quadratic pieces x - u and
-    x^2 - t*x + m, so everything stays in real arithmetic."""
+def build_candidate(s: int, profile: RootProfile, lead: int = 1) -> CandidateFactor:
+    """Multiply out the selected pieces x - u/a and x^2 - (t/a)*x + m/a^2 of
+    a profile of roots scaled by the lead a, in real arithmetic, and scale
+    by a: a true factor g with lead b gives the integral (a/b)*g."""
     ld = np.longdouble
+    a = _to_float(lead, ld)
     coeffs = np.array([1.0], dtype=ld)
     reals: list = []
     pairs: list[tuple] = []
@@ -78,10 +75,10 @@ def build_candidate(s: int, profile: RootProfile) -> CandidateFactor:
         if t & 1:
             ent = profile.perm[i]
             if ent < profile.r:
-                reals.append(ld(profile.real_roots[ent]))
+                reals.append(ld(profile.real_roots[ent]) / a)
             else:
                 j = ent - profile.r
-                pairs.append((ld(profile.pair_sums[j]), ld(profile.pair_products[j])))
+                pairs.append((ld(profile.pair_sums[j]) / a, ld(profile.pair_products[j]) / a**2))
         t >>= 1
         i += 1
 
@@ -107,7 +104,7 @@ def build_candidate(s: int, profile: RootProfile) -> CandidateFactor:
         ext[:-2] += pprod * mags
         mags = ext
 
-    return CandidateFactor(pattern=s, real_coeffs=coeffs, coeff_scales=mags)
+    return CandidateFactor(pattern=s, real_coeffs=a * coeffs, coeff_scales=abs(a) * mags)
 
 
 def trace_test(traces: np.ndarray, scales: np.ndarray, eps: float) -> bool:
@@ -134,9 +131,9 @@ def trace_test(traces: np.ndarray, scales: np.ndarray, eps: float) -> bool:
 def round_and_divide(
     cand: CandidateFactor, p: IntPolynomial, eps: float
 ) -> tuple[IntPolynomial, IntPolynomial] | None:
-    """Round the candidate's coefficients to integers q and demand an exact
-    division of p; return (q, p / q). None (rejection) is the normal fate of
-    spurious patterns.
+    """Round the candidate's coefficients to integers, take the primitive
+    part q and demand an exact division of p; return (q, p / q). None
+    (rejection) is the normal fate of spurious patterns.
 
     Coefficient k sums products of e - k roots, so its float error is at most
     (e - k) * (size of its terms) * (per-root error budget), the budget of the
@@ -152,7 +149,7 @@ def round_and_divide(
         if abs(float(c - r)) > tol:
             return None
         rounded.append(int(r))
-    q = IntPolynomial(rounded)
+    q = IntPolynomial(rounded).primitive_part()
     if q.degree < 1:
         return None
     rest = divide_exact(p, q)
@@ -300,8 +297,8 @@ def factor(
 ) -> FactorizationResult:
     """Full irreducible factorization over the integers.
 
-    Normalizes content and leading coefficient, splits off square-free parts,
-    and runs roots -> recombine -> verify once on each part: one walk over
+    Splits off the content and the square-free parts, and runs roots ->
+    recombine -> verify once on each part, monic or not: one walk over
     the screened candidates in (degree, pattern) order confirms the factors
     by exact division, and what remains is the last factor. The certificate
     flag is set by exact re-multiplication of the output.
@@ -326,15 +323,7 @@ def factor(
     parts = square_free_decompose(prim)
     stats.square_free_seconds = time.perf_counter() - t0
     for part, mult in parts:
-        if part.is_monic():
-            irr = _factor_monic_squarefree(part, cfg, backend, stats)
-        else:
-            transformed = monic_transform(part)
-            irr = [
-                monic_untransform_factor(g, part.leading)
-                for g in _factor_monic_squarefree(transformed, cfg, backend, stats)
-            ]
-        out.extend((g, mult) for g in irr)
+        out.extend((g, mult) for g in _factor_squarefree(part, cfg, backend, stats))
     out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs, fm[1]))
 
     rebuilt = IntPolynomial([content])
@@ -349,14 +338,14 @@ def factor(
     )
 
 
-def _factor_monic_squarefree(
+def _factor_squarefree(
     p: IntPolynomial,
     cfg: ToleranceConfig,
     backend: str,
     stats: FactorStats,
 ) -> list[IntPolynomial]:
-    """Irreducible factors of a monic square-free p from one root finding and
-    one recombination.
+    """Irreducible factors of a square-free p with positive lead a from one
+    root finding and one recombination, on p's roots multiplied by a.
 
     The walk confirms candidates in (degree, pattern) order, so a reducible
     candidate always comes after its factors, and shares roots with one of
@@ -370,6 +359,16 @@ def _factor_monic_squarefree(
 
     t0 = time.perf_counter()
     roots = find_roots(p, cfg)
+    if p.leading != 1:
+        # the roots of the monic a^(d-1) * p(x/a): integral traces on factors
+        y = roots.astype(np.clongdouble) * _to_float(p.leading, np.longdouble)
+        big = np.max(np.abs(y))
+        if not p.degree * big * 2.0**-52 < cfg.eps:
+            raise NonConvergence(
+                f"roots times the lead reach {np.format_float_scientific(big, 2, unique=False)}, "
+                f"too large for eps {cfg.eps:g}"
+            )
+        roots = y.astype(np.complex128)
     profile = build_profile(roots, cfg)
     stats.root_seconds += time.perf_counter() - t0
 
@@ -395,7 +394,7 @@ def _factor_monic_squarefree(
             stats.rejected += 1
             stats.screen_rejected += 1
             continue
-        found = round_and_divide(build_candidate(s, profile), rest, cfg.eps)
+        found = round_and_divide(build_candidate(s, profile, p.leading), rest, cfg.eps)
         if found is None:
             stats.rejected += 1
             continue

@@ -150,6 +150,25 @@ def test_factor_volume_exit_code(capsys):
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        # (10^20 x + 1)(x + 2)(x^2 - 3): roots scaled by the lead reach 2e20
+        "-6 -600000000000000000003 -299999999999999999998 200000000000000000001 "
+        "100000000000000000000",
+        # x^4 + 10^800: beyond the double range
+        f"{10**800} 0 0 0 1",
+    ],
+    ids=["huge-lead", "huge-constant"],
+)
+def test_unresolvable_roots_exit_3_with_one_line(text, capsys):
+    assert main(["factor", text]) == EXIT_CONVERGENCE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert captured.err.startswith("convergence error: ")
+
+
 def _raise(exc):
     def fail(*args, **kwargs):
         raise exc
@@ -182,6 +201,13 @@ def test_factor_dump_roots(tmp_path, capsys):
     assert lines[0] == "re,im"
     got = sorted(float(row.split(",")[0]) for row in lines[1:])
     assert got == pytest.approx([-(2**0.5), 2**0.5], abs=1e-12)
+    # (x - 1)^10 (x + 2): not square-free, so each part's roots are written
+    # once per multiplicity
+    p = P([-1, 1]) ** 10 * P([2, 1])
+    rc = main(["factor", p.to_text(), "--dump-roots", str(path)])
+    assert rc == EXIT_OK
+    rows = path.read_text().strip().splitlines()[1:]
+    assert sorted(float(row.split(",")[0]) for row in rows) == [-2.0] + [1.0] * 10
 
 
 def test_gen_swinnerton(capsys):
@@ -285,6 +311,8 @@ def test_workers_default_is_one():
         ["bench", "--degrees", "9"],
         ["bench", "--backends", "z"],
         ["gen", "swinnerton", "--k", "0"],
+        ["bench", "--trials", "0"],
+        ["bench", "--trials", "-1"],
     ],
 )
 def test_argument_errors_exit_2_with_one_line(argv, capsys):

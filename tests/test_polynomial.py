@@ -9,8 +9,6 @@ from polyfactor.polynomial import (
     gen_random_reducible,
     gen_random_reducible_parts,
     gen_swinnerton_dyer,
-    monic_transform,
-    monic_untransform_factor,
     multiply,
     poly_gcd,
     square_free_decompose,
@@ -301,7 +299,7 @@ def test_swinnerton_dyer_k3_against_radical_oracle():
 def test_swinnerton_dyer_shape(k):
     f = gen_swinnerton_dyer(k)
     assert f.degree == 2**k
-    assert f.is_monic()
+    assert f.leading == 1
     assert all(c == 0 for i, c in enumerate(f.coeffs) if i % 2 == 1)
 
 
@@ -321,7 +319,7 @@ def test_gen_random_reducible_product_of_parts():
     p = gen_random_reducible(12, 50, seed=3, irreducible=_no_check)
     assert multiply(f, g) == p
     assert f.degree == g.degree == 6
-    assert f.is_monic() and g.is_monic()
+    assert f.leading == 1 and g.leading == 1
 
 
 def test_gen_random_reducible_reproducible():
@@ -361,17 +359,6 @@ def test_content_and_primitive():
     q = P([4, -6, -2])
     assert q.content() == -2
     assert q.primitive_part() == P([-2, 3, 1])
-
-
-def test_monic_transform_round_trip():
-    p = P([1, 3, 2])  # 2x^2 + 3x + 1 = (2x + 1)(x + 1)
-    q = monic_transform(p)
-    assert q.is_monic()
-    g1, g2 = P([1, 1]), P([2, 1])  # factors of q = y^2 + 3y + 2
-    assert multiply(g1, g2) == q
-    back = [monic_untransform_factor(g, p.leading) for g in (g1, g2)]
-    prod = multiply(back[0], back[1])
-    assert prod == p
 
 
 def test_text_round_trip():

@@ -118,6 +118,38 @@ def test_coefficients_beyond_double_range_start_on_the_circle():
     assert len(roots) == 60
 
 
+def test_circle_start_radius_stays_in_the_coefficients_dtype():
+    # x^4 + 10^800 is past the double range, so the circle's radius must be
+    # computed in extended precision; its roots, of magnitude 10^200, have
+    # no fraction in a double, so find_roots raises
+    from polyfactor.rootfinder import _circle_start, _to_float
+
+    c = np.array([_to_float(v, np.longdouble) for v in (10**800, 0, 0, 0, 1)], dtype=np.clongdouble)
+    assert np.all(np.isfinite(_circle_start(c, np.clongdouble)))
+    with pytest.raises(NonConvergence, match="2\\^62"):
+        find_roots(P([10**800, 0, 0, 0, 1]), CFG)
+
+
+def test_aberth_stops_at_the_first_non_finite_iterate():
+    from polyfactor.rootfinder import _aberth
+
+    c = np.array([np.nan, 0, 1], dtype=np.clongdouble)
+    with pytest.raises(NonConvergence, match="non-finite"):
+        _aberth(c, CFG, np.clongdouble)
+
+
+def test_coefficients_past_the_float_range_raise():
+    with pytest.raises(NonConvergence, match="float range"):
+        find_roots(P([10**5000, 0, 0, 0, 1]), CFG)
+
+
+def test_root_past_2_62_raises():
+    # the factor x - 2^63 cannot be rounded from a double root, so it would
+    # be lost and the input reported with two factors instead of three
+    with pytest.raises(NonConvergence):
+        find_roots(P([-(2**63), 1]) * P([-3, 1]) * P([1, 0, 1]), CFG)
+
+
 def test_profile_mixed_real_and_pairs():
     # (x^2 - 2)(x^2 + 1): reals +-sqrt2, one pair with sum 0
     p = P([-2, 0, -1, 0, 1])

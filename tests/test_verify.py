@@ -192,6 +192,17 @@ def test_round_and_divide_rejects_off_grid_coefficient():
     assert round_and_divide(cand, P([-1, 2]), 1e-6) is None
 
 
+def test_round_and_divide_divides_by_the_primitive_part():
+    # a candidate rebuilt with the lead 2 of p = (x + 2)(2x - 1) is 2x + 4;
+    # its primitive part x + 2 divides p, and 2x + 4 itself does not
+    cand = CandidateFactor(
+        pattern=1,
+        real_coeffs=np.array([4.0, 2.0], dtype=np.longdouble),
+        coeff_scales=np.array([4.0, 2.0], dtype=np.longdouble),
+    )
+    assert round_and_divide(cand, P([-2, 3, 2]), 1e-6) == (P([2, 1]), P([-1, 2]))
+
+
 def test_round_and_divide_scales_gate_to_coefficient_size():
     # x + 2^35 rebuilt with an error of 5e-6 on its constant term is within
     # the per-root budget for a term that large (about 0.34), so exact
@@ -212,8 +223,9 @@ def test_round_and_divide_scales_gate_to_coefficient_size():
 
 
 def test_factor_non_monic_product_splits_fully():
-    # after monic_transform the degree-7 factor's constant term is about
-    # -2.56e10 with a float error of ~6e-6; an absolute eps gate lost it
+    # the leads multiply to 1280, which scales the roots every candidate is
+    # rebuilt from; the rounding gate must forgive the float error of the
+    # large coefficients that gives, not hold them to eps
     parts = [
         P([11, 14, -16, 17, 1]),
         P([9, -3, 12, 9, -19, 4]),
@@ -473,6 +485,56 @@ def test_factor_non_monic():
     res = factor(P([1, 3, 2]))  # (2x + 1)(x + 1)
     assert res.factors == ((P([1, 1]), 1), (P([1, 2]), 1))
     assert res.certificate
+
+
+def _sympy_factors(p):
+    sympy = pytest.importorskip("sympy")
+    poly = sympy.Poly(list(reversed(p.coeffs)), sympy.Symbol("x"), domain="ZZ")
+    content, pairs = poly.factor_list()
+    out = []
+    for g, m in pairs:
+        coeffs = [int(c) for c in reversed(g.all_coeffs())]
+        if coeffs[-1] < 0:
+            content, coeffs = -content, [-c for c in coeffs]
+        out.append((P(coeffs), m))
+    return int(content), sorted(out, key=lambda fm: (fm[0].degree, fm[0].coeffs, fm[1]))
+
+
+def test_factor_non_monic_products_match_sympy():
+    # products of 2-3 factors of degree 2-12 with leads up to 1000; the
+    # leads' product scales a degree-k factor's roots, and each answer must
+    # be sympy's, not a silent under-split
+    rng = random.Random(7)
+    leads = [1, 2, 3, 5, 7, 12, 30, 100, 1000]
+    for _ in range(50):
+        p = P([1])
+        for _ in range(rng.randint(2, 3)):
+            d = rng.randint(2, 12)
+            p = p * P([rng.randint(-30, 30) for _ in range(d)] + [rng.choice(leads)])
+        res = factor(p)
+        assert res.certificate
+        assert (res.content, list(res.factors)) == _sympy_factors(p), p.coeffs
+
+
+def test_factor_non_monic_degree_17_splits():
+    # sympy splits it into degrees 8 and 9; the degree-9 candidate passes
+    # the screen and must then round and divide
+    p = P([-84, 170, -100, -182, 306, 137, -730, 266, 255, 131, 131, 409, 219, -147, -139, 159, -91, 49])
+    res = factor(p)
+    assert res.certificate
+    assert sorted(q.degree for q, _ in res.factors) == [8, 9]
+    assert (res.content, list(res.factors)) == _sympy_factors(p)
+
+
+HUGE_LEAD = P([-6, -600000000000000000003, -299999999999999999998, 200000000000000000001, 10**20])
+
+
+def test_factor_huge_lead_raises_instead_of_under_splitting():
+    # (10^20 x + 1)(x + 2)(x^2 - 3): its roots scaled by the lead reach
+    # 2e20, past what a double resolves to eps, so the answer would be a
+    # guess; factor must raise rather than report too few factors
+    with pytest.raises(NonConvergence, match="2.00e"):
+        factor(HUGE_LEAD)
 
 
 def test_factor_negative_leading():
