@@ -20,6 +20,8 @@ from .errors import NonConvergence, UnpairedComplexRoot
 from .polynomial import IntPolynomial
 
 _HAS_EXTENDED = np.finfo(np.longdouble).nmant > 52
+# at or past 2^62 a double holds no fraction, so no float certifies an integer
+INT_LIMIT = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -76,8 +78,8 @@ class RootProfile:
         return self.r + self.c
 
 
-def _to_float(value: int, dtype) -> float:
-    # big ints overflow float(); split off the low bits first
+def to_float(value: int, dtype) -> float:
+    # float() raises past the double range; this gives inf past dtype's range
     if abs(value) < (1 << 62):
         return dtype(value)
     shift = value.bit_length() - 62
@@ -112,7 +114,7 @@ def find_roots(p: IntPolynomial, cfg: ToleranceConfig | None = None) -> np.ndarr
     cdtype = np.clongdouble if _HAS_EXTENDED else np.complex128
 
     with np.errstate(over="ignore"):
-        c = np.array([_to_float(a, rdtype) for a in p.coeffs], dtype=cdtype)
+        c = np.array([to_float(a, rdtype) for a in p.coeffs], dtype=cdtype)
     if not np.all(np.isfinite(c)):
         raise NonConvergence("a coefficient is past the float range")
     c = c / c[-1]
@@ -124,7 +126,7 @@ def find_roots(p: IntPolynomial, cfg: ToleranceConfig | None = None) -> np.ndarr
     with np.errstate(over="ignore"):
         z = np.asarray(z, dtype=np.complex128)
         big = np.max(np.abs(z))
-    if not big < 2.0**62:
+    if not big < INT_LIMIT:
         raise NonConvergence(f"a root of magnitude {big:.3g} is past 2^62")
     return _symmetrize(z, cfg)
 

@@ -22,12 +22,11 @@ import numpy as np
 from .errors import NonConvergence
 from .polynomial import IntPolynomial, divide_exact, square_free_decompose
 from .recombine import BACKENDS, RecombineStats, RhoVector
-from .rootfinder import RootProfile, ToleranceConfig, _to_float, build_profile, find_roots
+from .rootfinder import INT_LIMIT, RootProfile, ToleranceConfig, build_profile, find_roots, to_float
 
 # per-root relative error budget used to decide whether a trace is still
 # numerically resolvable against the integer lattice
 _TRACE_REL = 1e-11
-_INT_LIMIT = 1 << 62  # beyond this, float values cannot certify integrality
 # patterns screened per matrix product; bounds the bit matrix and the trace
 # and scale arrays to this many rows
 _SCREEN_CHUNK = 1024
@@ -37,11 +36,13 @@ _SCREEN_CHUNK = 1024
 class CandidateFactor:
     """A real factor rebuilt from a pattern: lead * prod(x - root) (extended
     precision). coeff_scales holds the size of each coefficient's terms (the
-    same product with every root taken in absolute value)."""
+    same product with every root taken in absolute value). lead is the top
+    coefficient as an exact int."""
 
     pattern: int
     real_coeffs: np.ndarray
     coeff_scales: np.ndarray
+    lead: int
 
     @property
     def degree(self) -> int:
@@ -65,7 +66,7 @@ def build_candidate(s: int, profile: RootProfile, lead: int = 1) -> CandidateFac
     a profile of roots scaled by the lead a, in real arithmetic, and scale
     by a: a true factor g with lead b gives the integral (a/b)*g."""
     ld = np.longdouble
-    a = _to_float(lead, ld)
+    a = to_float(lead, ld)
     coeffs = np.array([1.0], dtype=ld)
     reals: list = []
     pairs: list[tuple] = []
@@ -104,7 +105,7 @@ def build_candidate(s: int, profile: RootProfile, lead: int = 1) -> CandidateFac
         ext[:-2] += pprod * mags
         mags = ext
 
-    return CandidateFactor(pattern=s, real_coeffs=a * coeffs, coeff_scales=abs(a) * mags)
+    return CandidateFactor(s, a * coeffs, abs(a) * mags, lead)
 
 
 def trace_test(traces: np.ndarray, scales: np.ndarray, eps: float) -> bool:
@@ -120,7 +121,7 @@ def trace_test(traces: np.ndarray, scales: np.ndarray, eps: float) -> bool:
     for m0 in range(len(traces)):
         m = m0 + 1
         scale = float(scales[m0])
-        if m * scale * _TRACE_REL >= eps or scale >= _INT_LIMIT:
+        if m * scale * _TRACE_REL >= eps or scale >= INT_LIMIT:
             continue
         tr = traces[m0]
         if abs(float(tr - np.rint(tr))) >= eps:
@@ -131,27 +132,25 @@ def trace_test(traces: np.ndarray, scales: np.ndarray, eps: float) -> bool:
 def round_and_divide(
     cand: CandidateFactor, p: IntPolynomial, eps: float
 ) -> tuple[IntPolynomial, IntPolynomial] | None:
-    """Round the candidate's coefficients to integers, take the primitive
-    part q and demand an exact division of p; return (q, p / q). None
-    (rejection) is the normal fate of spurious patterns.
+    """Round the candidate's coefficients below its exact lead to integers,
+    take the primitive part q and demand an exact division of p; return
+    (q, p / q). None (rejection) is the normal fate of spurious patterns.
 
     Coefficient k sums products of e - k roots, so its float error is at most
     (e - k) * (size of its terms) * (per-root error budget), the budget of the
     trace test. Each coefficient must lie within that bound, or within eps
     if larger, of an integer; exact division decides the rest."""
-    e = len(cand.real_coeffs) - 1
+    e = cand.degree
     rounded: list[int] = []
-    for k, c in enumerate(cand.real_coeffs):
+    for k, c in enumerate(cand.real_coeffs[:e]):
         r = np.rint(c)
-        if abs(float(r)) >= _INT_LIMIT:
+        if abs(float(r)) >= INT_LIMIT:
             return None
         tol = max(eps, (e - k) * float(cand.coeff_scales[k]) * _TRACE_REL)
         if abs(float(c - r)) > tol:
             return None
         rounded.append(int(r))
-    q = IntPolynomial(rounded).primitive_part()
-    if q.degree < 1:
-        return None
+    q = IntPolynomial(rounded + [cand.lead]).primitive_part()
     rest = divide_exact(p, q)
     return None if rest is None else (q, rest)
 
@@ -232,13 +231,13 @@ def screen_candidates(patterns, profile: RootProfile, eps: float):
             scale = (sel @ mags[:, 1]).astype(np.float64)
             trace = sel @ powers[:, 1]
             off = np.abs((trace - np.rint(trace)).astype(np.float64)) >= eps
-            passed = ~(off & (2 * scale * _TRACE_REL < eps) & (scale < _INT_LIMIT) & (deg >= 2))
+            passed = ~(off & (2 * scale * _TRACE_REL < eps) & (scale < INT_LIMIT) & (deg >= 2))
         # stage 2: every consulted order, on the rows stage 1 kept
         keep = np.flatnonzero(passed)
         sel = sel[keep]
         scales = (sel @ mags[:, :e]).astype(np.float64)
         m = np.arange(1, e + 1, dtype=np.uint64)
-        consult = (m * scales * _TRACE_REL < eps) & (scales < _INT_LIMIT)
+        consult = (m * scales * _TRACE_REL < eps) & (scales < INT_LIMIT)
         consult &= m <= deg[keep, None]
         # only the orders some candidate consults are worth a product
         used = np.flatnonzero(consult.any(axis=0))
@@ -359,9 +358,11 @@ def _factor_squarefree(
 
     t0 = time.perf_counter()
     roots = find_roots(p, cfg)
+    # unscaled monic parts skip the guard, whose worst case would refuse some that
+    # factor correctly: 2.5e-6 on a product of factors with 1e9 coefficients
     if p.leading != 1:
         # the roots of the monic a^(d-1) * p(x/a): integral traces on factors
-        y = roots.astype(np.clongdouble) * _to_float(p.leading, np.longdouble)
+        y = roots.astype(np.clongdouble) * to_float(p.leading, np.longdouble)
         big = np.max(np.abs(y))
         if not p.degree * big * 2.0**-52 < cfg.eps:
             raise NonConvergence(

@@ -122,9 +122,9 @@ def test_circle_start_radius_stays_in_the_coefficients_dtype():
     # x^4 + 10^800 is past the double range, so the circle's radius must be
     # computed in extended precision; its roots, of magnitude 10^200, have
     # no fraction in a double, so find_roots raises
-    from polyfactor.rootfinder import _circle_start, _to_float
+    from polyfactor.rootfinder import _circle_start, to_float
 
-    c = np.array([_to_float(v, np.longdouble) for v in (10**800, 0, 0, 0, 1)], dtype=np.clongdouble)
+    c = np.array([to_float(v, np.longdouble) for v in (10**800, 0, 0, 0, 1)], dtype=np.clongdouble)
     assert np.all(np.isfinite(_circle_start(c, np.clongdouble)))
     with pytest.raises(NonConvergence, match="2\\^62"):
         find_roots(P([10**800, 0, 0, 0, 1]), CFG)

@@ -16,7 +16,7 @@ from polyfactor.polynomial import (
     multiply,
 )
 from polyfactor.recombine import BACKENDS, RhoVector, recombine_e
-from polyfactor.rootfinder import ToleranceConfig, profile_polynomial
+from polyfactor.rootfinder import INT_LIMIT, ToleranceConfig, profile_polynomial
 from polyfactor.verify import (
     CandidateFactor,
     build_candidate,
@@ -188,6 +188,7 @@ def test_round_and_divide_rejects_off_grid_coefficient():
         pattern=1,
         real_coeffs=np.array([0.5003, 1.0], dtype=np.longdouble),
         coeff_scales=np.array([0.5003, 1.0], dtype=np.longdouble),
+        lead=1,
     )
     assert round_and_divide(cand, P([-1, 2]), 1e-6) is None
 
@@ -199,6 +200,7 @@ def test_round_and_divide_divides_by_the_primitive_part():
         pattern=1,
         real_coeffs=np.array([4.0, 2.0], dtype=np.longdouble),
         coeff_scales=np.array([4.0, 2.0], dtype=np.longdouble),
+        lead=2,
     )
     assert round_and_divide(cand, P([-2, 3, 2]), 1e-6) == (P([2, 1]), P([-1, 2]))
 
@@ -214,6 +216,7 @@ def test_round_and_divide_scales_gate_to_coefficient_size():
             pattern=1,
             real_coeffs=np.array([big + err, 1.0], dtype=np.longdouble),
             coeff_scales=np.array([big, 1.0], dtype=np.longdouble),
+            lead=1,
         )
 
     p = P([-big, big - 1, 1])  # (x + 2^35)(x - 1)
@@ -315,7 +318,7 @@ def test_screen_stages_cover_every_kind():
         want.append(trace_test(traces, scales, eps))
         off = len(traces) >= 2 and abs(float(traces[1] - np.rint(traces[1]))) >= eps
         scale = float(scales[1]) if len(traces) >= 2 else math.inf
-        if not (2 * scale * verify._TRACE_REL < eps and scale < verify._INT_LIMIT):
+        if not (2 * scale * verify._TRACE_REL < eps and scale < INT_LIMIT):
             kinds["unconsulted"] += 1
             kinds["unconsulted, off, passed"] += off and want[-1]
         elif off:
@@ -535,6 +538,18 @@ def test_factor_huge_lead_raises_instead_of_under_splitting():
     # guess; factor must raise rather than report too few factors
     with pytest.raises(NonConvergence, match="2.00e"):
         factor(HUGE_LEAD)
+
+
+def test_factor_lead_past_2_62_splits():
+    # (2200000000x + 1)(2150000000x - 1): the lead 4.73e18 is past 2^62,
+    # where a double holds no fraction, but its roots scaled by it stay
+    # below the precision guard; every candidate's lead is exactly the
+    # part's, so it is taken as the int and never rounded
+    p = P([1, 2200000000]) * P([-1, 2150000000])
+    assert p.leading > INT_LIMIT
+    res = factor(p)
+    assert res.certificate
+    assert res.factors == ((P([-1, 2150000000]), 1), (P([1, 2200000000]), 1))
 
 
 def test_factor_negative_leading():
