@@ -38,7 +38,6 @@ from .recombine import (
     find,
     insert,
     predict_beta,
-    query,
     recombine_a,
     recombine_b,
     recombine_c,

@@ -192,7 +192,9 @@ def _parse_backends(spec: str) -> list[str]:
     backends = spec.split(",")
     for name in backends:
         if name not in BACKENDS:
-            raise argparse.ArgumentTypeError(f"unknown backend {name!r}, expected one of a,b,c,d,e")
+            raise argparse.ArgumentTypeError(
+                f"unknown backend {name!r}, expected one of {','.join(BACKENDS)}"
+            )
     return backends
 
 
@@ -358,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     f = sub.add_parser("factor", help="factor one polynomial")
     f.add_argument("polynomial", help='coefficient list "1 0 -10 0 1" or symbolic "x^4-10*x^2+1"')
-    f.add_argument("--backend", choices=list("abcde"), default="e")
+    f.add_argument("--backend", choices=list(BACKENDS), default="e")
     f.add_argument("--eps", type=_eps, default=1e-6)
     f.add_argument("--workers", type=_positive_int, default=1)
     f.add_argument("--json", action="store_true", help="machine-readable output")
@@ -370,7 +372,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--degrees", type=_parse_degrees, default="8:40:4", help='"8:40:4" range or "8,12,16" list'
     )
     b.add_argument(
-        "--backends", type=_parse_backends, default="e", help="comma list from a,b,c,d,e"
+        "--backends",
+        type=_parse_backends,
+        default="e",
+        help=f"comma list from {','.join(BACKENDS)}",
     )
     b.add_argument("--trials", type=_positive_int, default=3)
     b.add_argument("--seed", type=int, default=0)

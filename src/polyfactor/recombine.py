@@ -24,11 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import WidthExceeded
-from .rootfinder import RootProfile
-
-# absolute slack added to every discovery band before the canonical re-test;
-# must dominate float64 association error of <=64-term sums (~1e-14)
-GUARD = 1e-12
+from .rootfinder import GUARD, RootProfile
 
 _A_WIDTH_LIMIT = 30
 _A_CHUNK_BITS = 20
@@ -92,14 +88,11 @@ class RecombineStats:
 
     visited counts the patterns or subset sums a backend forms. inserts and
     insert_probes count insertions into a splat table, so probes_mean reads
-    0.0 for backends that build none. queries counts backend e's window
-    queries and query() calls; query_probes counts the cells query() walks."""
+    0.0 for backends that build none."""
 
     visited: int = 0
     inserts: int = 0
     insert_probes: int = 0
-    queries: int = 0
-    query_probes: int = 0
 
     @property
     def probes_mean(self) -> float:
@@ -144,17 +137,15 @@ def _fractional_sums(values) -> np.ndarray:
     return sums
 
 
-def _canonical_filter(found, rho: RhoVector, eps: float) -> frozenset[int]:
-    """Map each discovered pattern to min(s, ~s) and keep it only if the
-    representative itself passes the canonical accept test. This is what
-    pins backends b..e to backend a's exact output.
+def _canonical_filter(found: np.ndarray, rho: RhoVector, eps: float) -> frozenset[int]:
+    """Map each discovered pattern in the integer array found (duplicates
+    allowed) to min(s, ~s) and keep it only if the representative itself
+    passes the canonical accept test. This is what pins backends b..e to
+    backend a's exact output.
 
     Each value adds the selected entries in ascending index order with an
     exact 0.0 for every unselected one, so it is bitwise value()'s."""
-    if isinstance(found, np.ndarray):
-        s = found.astype(np.uint64)
-    else:
-        s = np.fromiter(found, dtype=np.uint64)
+    s = found.astype(np.uint64)
     if not len(s):
         return frozenset()
     n = len(rho)
@@ -273,7 +264,7 @@ def jump_width(s: int, x: float, rho: RhoVector, eps: float) -> int:
 
 
 # ---------------------------------------------------------------------------
-# value tables (dense for the sweep, sparse for the probe structure)
+# value tables (dense for the sweep, sparse as splat lays them out)
 
 EMPTY = -1.0  # sentinel outside the value range [0, 1)
 
@@ -444,58 +435,6 @@ def splat(rho_half: RhoVector, stats: RecombineStats | None = None) -> ValueTabl
     return _splat_table(rho_half, lambda sums: np.argsort(sums, kind="stable"), stats)
 
 
-def _probe_window(values, patterns, k: int, t: float, eps: float, first_only: bool = False):
-    """All stored patterns whose value lies within eps of t, circularly.
-
-    Every stored value sits at or after its home slot with the cells in
-    between occupied, so the walk starts at the home slot of (t - eps) and
-    only an empty cell past the window's own slot range proves completion.
-    Value ordering is deliberately not used as a stop condition: chains that
-    wrapped past the table end interleave with small values near slot zero.
-    Returns (hits, probes).
-    """
-    lo = (t - eps) % 1.0
-    start = int(k * lo)
-    span = (int(k * ((t + eps) % 1.0)) - start) % k
-    i = start
-    off = 0
-    probes = 0
-    hits: list[int] = []
-    while off <= k:
-        v = values[i]
-        probes += 1
-        if v < 0.0:
-            if off >= span:
-                break
-        else:
-            delta = (v - t) % 1.0
-            if delta < eps or delta > 1.0 - eps:
-                hits.append(patterns[i])
-                if first_only:
-                    break
-        off += 1
-        i += 1
-        if i == k:
-            i = 0
-    return hits, probes
-
-
-def query(
-    x: float, table: ValueTable, eps: float, stats: RecombineStats | None = None
-) -> int | None:
-    """First stored pattern whose value is within eps of x (wraparound at 0/1
-    honored), or None. The probe cost matches the insertion bound."""
-    if not table.sparse:
-        raise ValueError("query requires the sparse (uncompacted) table form")
-    hits, probes = _probe_window(
-        table.values, table.patterns, table.capacity, x % 1.0, eps, first_only=True
-    )
-    if stats is not None:
-        stats.queries += 1
-        stats.query_probes += probes
-    return int(hits[0]) if hits else None
-
-
 # ---------------------------------------------------------------------------
 # meet-in-the-middle window queries
 
@@ -535,12 +474,12 @@ def _window_pairs(ts: np.ndarray, vs: np.ndarray, eps: float) -> tuple[np.ndarra
     return qi[keep], vj[keep]
 
 
-def find(alpha: ValueTable, beta: ValueTable, eps: float) -> set[int]:
+def find(alpha: ValueTable, beta: ValueTable, eps: float) -> np.ndarray:
     """All concatenated patterns with alpha_i + beta_j within the accept
-    bands: one window query of every (1 - alpha_i) mod 1 against the sorted
-    beta values, so the bands at 0, 1 and 2 are one circular window.
-    Duplicate-value neighborhoods are fully enumerated. Raw discovery
-    output; the caller applies the canonical filter."""
+    bands, as a uint64 array: one window query of every (1 - alpha_i) mod 1
+    against the sorted beta values, so the bands at 0, 1 and 2 are one
+    circular window. Duplicate-value neighborhoods are fully enumerated.
+    Raw discovery output; the caller applies the canonical filter."""
     if alpha.sparse or beta.sparse:
         raise ValueError("find requires dense sorted tables")
     t = np.mod(1.0 - alpha.values, 1.0)
@@ -548,7 +487,7 @@ def find(alpha: ValueTable, beta: ValueTable, eps: float) -> set[int]:
     qi, vj = _window_pairs(t[qorder], beta.values, eps + GUARD)
     apat = alpha.patterns[qorder[qi]].astype(np.uint64)
     bpat = beta.patterns[vj].astype(np.uint64)
-    return set((apat | (bpat << alpha.width)).tolist())
+    return apat | (bpat << alpha.width)
 
 
 def _split(rho: RhoVector) -> tuple[RhoVector, RhoVector]:
@@ -597,9 +536,8 @@ def recombine_e(rho: RhoVector, eps: float, stats: RecombineStats | None = None)
     """Sort the high half's values once and find every low-half pattern's
     partners with window queries against them.
 
-    The counters record what runs: the 2^na + 2^nb subset sums formed
-    (visited) and one window query per low-half pattern (queries). No table
-    is built, so nothing is inserted or probed."""
+    visited counts the 2^na + 2^nb subset sums formed. No table is built,
+    so nothing is inserted or probed."""
     n = len(rho)
     _guard_width(n, 31)
     if n < 2:
@@ -614,7 +552,6 @@ def recombine_e(rho: RhoVector, eps: float, stats: RecombineStats | None = None)
     raw = qorder[qi] | (border[vj] << na)
     if stats is not None:
         stats.visited += len(bsums) + len(t)
-        stats.queries += len(t)
     return CandidateSet(_canonical_filter(raw, rho, eps), n)
 
 

@@ -22,6 +22,10 @@ from .polynomial import IntPolynomial
 _HAS_EXTENDED = np.finfo(np.longdouble).nmant > 52
 # at or past 2^62 a double holds no fraction, so no float certifies an integer
 INT_LIMIT = 1 << 62
+# absolute slack added to every discovery band before the canonical re-test;
+# must dominate float64 association error of <=64-term sums (~1e-14), so it
+# is also the smallest eps that the acceptance test can honor
+GUARD = 1e-12
 
 
 @dataclass(frozen=True)
@@ -41,8 +45,8 @@ class ToleranceConfig:
     max_iterations: int = 500
 
     def __post_init__(self):
-        if not 0 < self.eps < 0.5:
-            raise ValueError("eps must be in (0, 0.5)")
+        if not GUARD <= self.eps < 0.5:
+            raise ValueError(f"eps must be in [{GUARD:g}, 0.5)")
         if self.root_tol <= 0:
             raise ValueError("root_tol must be positive")
         if self.imag_threshold <= 0:

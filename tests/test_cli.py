@@ -313,6 +313,7 @@ def test_workers_default_is_one():
         ["gen", "swinnerton", "--k", "0"],
         ["bench", "--trials", "0"],
         ["bench", "--trials", "-1"],
+        ["factor", "x^2-1", "--eps", "1e-15"],
     ],
 )
 def test_argument_errors_exit_2_with_one_line(argv, capsys):

@@ -18,7 +18,6 @@ from polyfactor.recombine import (
     insert,
     jump_width,
     predict_beta,
-    query,
     recombine_a,
     recombine_b,
     recombine_c,
@@ -190,13 +189,13 @@ def _parity_vectors(seed: int):
 
 def test_recombine_e_reference_parity():
     # backend e's window queries give backend a's set; it forms the subset
-    # sums of both halves and queries once per low-half pattern
+    # sums of both halves
     for vals, eps in _parity_vectors(33):
         rho = rv(vals)
         n, na = len(rho), len(rho) // 2
         st = RecombineStats()
         assert recombine_e(rho, eps, st).patterns == recombine_a(rho, eps).patterns
-        assert st == RecombineStats(visited=2**na + 2 ** (n - na), queries=2**na), (vals, eps)
+        assert st == RecombineStats(visited=2**na + 2 ** (n - na)), (vals, eps)
 
 
 def test_jump_soundness_exhaustive():
@@ -253,7 +252,7 @@ def test_expand_self_consistent():
 
 def test_find_zero_pair():
     a = expand(rv([]))  # single zero-pattern entry
-    assert find(a, a, EPS) == {0}
+    assert set(find(a, a, EPS).tolist()) == {0}
 
 
 def test_find_four_pair_exhaustive():
@@ -263,7 +262,7 @@ def test_find_four_pair_exhaustive():
     beta = ValueTable(
         values=np.array([0.1, 0.8]), patterns=np.array([0, 1]), width=1, sparse=False
     )
-    got = find(alpha, beta, EPS)
+    got = set(find(alpha, beta, EPS).tolist())
     assert got == {0b10, 0b01}  # 0.2+0.8 and 0.9+0.1
 
 
@@ -275,7 +274,7 @@ def test_find_matches_oracle_through_c():
         assert recombine_c(rho, EPS).patterns == brute_force(rho, EPS)
 
 
-# --- splat / insert / query -------------------------------------------------
+# --- splat / insert ---------------------------------------------------------
 
 
 def empty_table(width: int) -> ValueTable:
@@ -443,49 +442,6 @@ def test_splat_probe_bound_random():
 def test_splat_width_guard():
     with pytest.raises(WidthExceeded):
         splat(rv([0.5] * 32))
-
-
-def test_query_direct_hit_one_probe():
-    tab = empty_table(6)
-    insert(0.6, 9, tab)
-    st = RecombineStats()
-    assert query(0.6, tab, EPS, st) == 9
-    assert st.query_probes == 1
-
-
-def test_query_empty_table():
-    tab = empty_table(6)
-    assert query(0.6, tab, EPS) is None
-
-
-def test_query_wraparound():
-    tab = empty_table(6)
-    insert(0.0, 3, tab)
-    assert query(1.0 - EPS / 2, tab, EPS) == 3
-    # and from the other side
-    tab2 = empty_table(6)
-    insert(1.0 - EPS / 4, 7, tab2)
-    assert query(0.0, tab2, EPS) == 7
-
-
-def test_query_completeness_exhaustive():
-    rng = random.Random(15)
-    half = rv([rng.random() for _ in range(16)])
-    tab = splat(half)
-    vals = tab.values.tolist()
-    pats = tab.patterns.tolist()
-    for v, p in zip(vals, pats):
-        if v >= 0.0:
-            got = query(v, tab, EPS)
-            assert got is not None
-            assert abs(value(int(got), half) - v) < EPS or abs(
-                value(int(got), half) - v
-            ) > 1 - EPS
-
-
-def test_query_rejects_dense():
-    with pytest.raises(ValueError):
-        query(0.5, expand(rv([0.3])), EPS)
 
 
 # --- backends c/d/e full agreement -----------------------------------------

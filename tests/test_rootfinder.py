@@ -7,6 +7,7 @@ import pytest
 from polyfactor.errors import NonConvergence, UnpairedComplexRoot
 from polyfactor.polynomial import IntPolynomial, gen_swinnerton_dyer
 from polyfactor.rootfinder import (
+    GUARD,
     ToleranceConfig,
     build_profile,
     expected_n,
@@ -259,5 +260,10 @@ def test_swinnerton_dyer_roots_all_real():
 def test_config_validation():
     with pytest.raises(ValueError):
         ToleranceConfig(eps=0.7)
+    # below the recombination slack the accept test cannot be honored: at
+    # 1e-15 products of two degree-32 halves came back as one factor
+    with pytest.raises(ValueError, match="eps"):
+        ToleranceConfig(eps=1e-15)
+    assert ToleranceConfig(eps=GUARD).eps == GUARD
     with pytest.raises(ValueError):
         ToleranceConfig(root_tol=0)

@@ -33,19 +33,44 @@ def test_first_small_factor_skips_numpy_ma():
     assert proc.returncode == 0, proc.stderr
 
 
+# module attributes perfbench/spans.py wraps to time each layer; it skips any
+# that is missing, so a rename would read as a zero per-layer metric
+TRACED = {
+    "verify": (
+        "square_free_decompose",
+        "divide_exact",
+        "find_roots",
+        "build_profile",
+        "build_candidate",
+        "round_and_divide",
+        "BACKENDS",
+    ),
+    "polynomial": ("divide_exact",),
+    "recombine": ("subset_sums", "_canonical_filter"),
+    "parallel": ("parallel_build",),
+}
+
+
 def test_benchmark_entry_points():
-    # perfbench/run.py imports polyfactor.parallel and calls factor() with
-    # the worker count as the fourth positional argument
+    # perfbench/run.py imports polyfactor.parallel, calls factor() with the
+    # worker count as the fourth positional argument, wraps the TRACED
+    # attributes and reads the counters below from res.stats
     import importlib
 
     from polyfactor import IntPolynomial, factor
     from polyfactor.rootfinder import ToleranceConfig
 
-    importlib.import_module("polyfactor.parallel")
+    for mod, attrs in TRACED.items():
+        module = importlib.import_module(f"polyfactor.{mod}")
+        for attr in attrs:
+            assert hasattr(module, attr), f"polyfactor.{mod}.{attr}"
     p = IntPolynomial([-2, 0, 1]) * IntPolynomial([1, 1, 1])
     res = factor(p, ToleranceConfig(eps=1e-9), "e", 2)
     assert res.factors == ((IntPolynomial([-2, 0, 1]), 1), (IntPolynomial([1, 1, 1]), 1))
     assert res.certificate
+    assert hasattr(res.stats, "candidates")
+    for counter in ("visited", "inserts", "insert_probes"):
+        assert hasattr(res.stats.recombine, counter), f"stats.recombine.{counter}"
 
 
 def test_all_five_demos_found():

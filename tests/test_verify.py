@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from polyfactor import verify
-from polyfactor.errors import NonConvergence, WidthExceeded
+from polyfactor.errors import NonConvergence, PolyfactorError, WidthExceeded
 from polyfactor.polynomial import (
     IntPolynomial,
     divide_exact,
@@ -550,6 +550,29 @@ def test_factor_lead_past_2_62_splits():
     res = factor(p)
     assert res.certificate
     assert res.factors == ((P([-1, 2150000000]), 1), (P([1, 2200000000]), 1))
+
+
+_N, _M = 27 * 10**24 + 1, 27 * 10**24 + 5
+UNDER_SPLIT = {
+    # roots about 1e14, whose fractional parts a double does not hold
+    "quadratics-1e28": (P([-(10**28 + 7), 0, 1]), P([-(10**28 + 11), 0, 1])),
+    # every candidate has a coefficient past 2^62 and is dropped unproved
+    "cubics-non-monic": (P([-_N, 0, 0, 2]), P([-_M, 0, 0, 1])),
+    "cubics-monic": (P([-_N, 0, 0, 1]), P([-_M, 0, 0, 1])),
+}
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP Fix first 1 / direction 1")
+@pytest.mark.parametrize("f, g", UNDER_SPLIT.values(), ids=UNDER_SPLIT.keys())
+def test_under_split_inputs_split_or_raise(f, g):
+    # each comes back today as one factor with certificate=True; a mend
+    # must either split it or refuse it with a typed error
+    try:
+        res = factor(f * g)
+    except PolyfactorError:
+        return
+    assert res.content == 1
+    assert sorted(res.factors, key=str) == sorted([(f, 1), (g, 1)], key=str)
 
 
 def test_factor_negative_leading():
