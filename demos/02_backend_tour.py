@@ -36,7 +36,8 @@ for name in "abcde":
 print(
     "\na scans half the space; b jumps over runs a cumulative-sum argument"
     "\nrules out; c/d/e enumerate only the two half spaces (meet in the"
-    "\nmiddle), differing in how the halves are sorted and matched. Only d"
-    "\nbuilds probe tables (splat); probes counts the cells its insertions"
-    "\nexamine, and e sorts and window-queries, so it probes nothing."
+    "\nmiddle) and run one window query, differing only in how the high"
+    "\nhalf's table is sorted. Only d builds a probe table (splat, high half"
+    "\nonly); probes counts the cells its insertions examine, so c and e"
+    "\nprobe nothing."
 )

@@ -130,11 +130,10 @@ def cmd_factor(args) -> int:
     cfg = ToleranceConfig(eps=args.eps)
     if args.dump_roots:
         # find_roots needs square-free input: each part's roots, mult times
-        with open(args.dump_roots, "w") as fh:
-            fh.write("re,im\n")
-            for part, mult in square_free_decompose(p):
-                for z in find_roots(part, cfg):
-                    fh.write(f"{float(z.real)!r},{float(z.imag)!r}\n" * mult)
+        args.dump_roots.write("re,im\n")
+        for part, mult in square_free_decompose(p):
+            for z in find_roots(part, cfg):
+                args.dump_roots.write(f"{float(z.real)!r},{float(z.imag)!r}\n" * mult)
     res = factor(p, cfg, backend=args.backend, workers=args.workers)
 
     if args.json:
@@ -228,22 +227,16 @@ def bench_rows(degrees, backends, trials, seed, workers, include_roots=False, cf
 
 
 def cmd_bench(args) -> int:
-    sink = open(args.csv, "w") if args.csv else None
-
     def emit(line: str) -> None:
         print(line)
-        if sink:
-            sink.write(line + "\n")
+        if args.csv:
+            args.csv.write(line + "\n")
 
     emit(CSV_HEADER)
-    try:
-        for row in bench_rows(
-            args.degrees, args.backends, args.trials, args.seed, args.workers, args.include_roots
-        ):
-            emit(row.to_csv())
-    finally:
-        if sink:
-            sink.close()
+    for row in bench_rows(
+        args.degrees, args.backends, args.trials, args.seed, args.workers, args.include_roots
+    ):
+        emit(row.to_csv())
     return EXIT_OK
 
 
@@ -364,7 +357,9 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--eps", type=_eps, default=1e-6)
     f.add_argument("--workers", type=_positive_int, default=1)
     f.add_argument("--json", action="store_true", help="machine-readable output")
-    f.add_argument("--dump-roots", metavar="PATH", help="write roots as CSV (re,im)")
+    f.add_argument(
+        "--dump-roots", metavar="PATH", type=argparse.FileType("w"), help="write roots as CSV (re,im)"
+    )
     f.set_defaults(fn=cmd_factor)
 
     b = sub.add_parser("bench", help="benchmark recombination on random reducible inputs")
@@ -385,7 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="wall_s covers the whole run instead of recombination only",
     )
-    b.add_argument("--csv", metavar="PATH", help="also write the rows to a file")
+    b.add_argument(
+        "--csv", metavar="PATH", type=argparse.FileType("w"), help="also write the rows to a file"
+    )
     b.set_defaults(fn=cmd_bench)
 
     g = sub.add_parser("gen", help="generate test inputs")
@@ -422,6 +419,11 @@ def main(argv=None) -> int:
         code, label = next(v for cls, v in exits.items() if isinstance(exc, cls))
         print(f"{label}: {exc}", file=sys.stderr)
         return code
+    finally:
+        # the files argparse opened for --dump-roots and --csv ("-" is stdout)
+        for fh in (getattr(args, name, None) for name in ("dump_roots", "csv")):
+            if fh is not None and fh is not sys.stdout:
+                fh.close()
 
 
 if __name__ == "__main__":

@@ -6,10 +6,10 @@ fractional parts sum to within eps of an integer:
   a  exhaustive scan of half the pattern space (the reference oracle)
   b  the same scan with provably-sound jumps over barren pattern runs,
      run as a pruned tree of aligned pattern blocks
-  c  meet in the middle: expand both halves, sort, sweep the matching line
-  d  c with each half laid out in a splat table after a stable argsort
-  e  sort one half's values once, then window-query them with the other
-     half's complements (two searchsorted calls per batch)
+  c  meet in the middle: sort the high half's subset sums into a table and
+     window-query it with the complements of the low half's sums
+  d  c with the high half's table laid out by splat, then compacted
+  e  c with the high half sorted by one unstable argsort, the cheapest table
 
 Backends b..e discover candidates with a tiny slack band and then re-test
 every find against the one canonical value() function, so all five return
@@ -30,7 +30,7 @@ _A_WIDTH_LIMIT = 30
 _A_CHUNK_BITS = 20
 _B_WIDTH_LIMIT = 30
 _B_CHUNK = 1 << 16  # block-tree nodes per numpy pass of backend b
-_FILTER_ROWS = 1 << 14  # patterns per bit matrix in the canonical filter
+_FILTER_ROWS = 1 << 12  # patterns per bit matrix in the canonical filter (n * 32 KB of floats)
 _WINDOW_PAD = 1e-13  # window widening that covers the rounding of the -1/+1 copies
 # (target, value) pairs one window query may gather, about 2^n * 2 eps;
 # checked before the pair arrays (tens of bytes per pair) are allocated
@@ -174,20 +174,16 @@ def recombine_a(rho: RhoVector, eps: float, stats: RecombineStats | None = None)
     if n == 0:
         return CandidateSet(frozenset(), 0)
     bits = n - 1  # bit n-1 is never set below 2^(n-1)
+    low = min(bits, _A_CHUNK_BITS)
     eps_d = eps + GUARD
-    if bits <= _A_CHUNK_BITS:
-        vals = _fractional_sums(rho.values[:bits])
-        found = np.flatnonzero((vals < eps_d) | (vals > 1.0 - eps_d))
-    else:
-        lo = subset_sums(rho.values[:_A_CHUNK_BITS])
-        hi = subset_sums(rho.values[_A_CHUNK_BITS:bits])
-        parts = []
-        for h, base in enumerate(hi):
-            v = lo + base
-            v -= np.floor(v)
-            idx = np.flatnonzero((v < eps_d) | (v > 1.0 - eps_d))
-            parts.append(idx | (h << _A_CHUNK_BITS))
-        found = np.concatenate(parts)
+    lo = subset_sums(rho.values[:low])
+    parts = []
+    # one pass per high pattern h; with no high bits, h = 0 adds an exact 0.0
+    for h, base in enumerate(subset_sums(rho.values[low:bits])):
+        v = lo + base
+        v -= np.floor(v)
+        parts.append(np.flatnonzero((v < eps_d) | (v > 1.0 - eps_d)) | (h << low))
+    found = np.concatenate(parts)
     if stats is not None:
         stats.visited += 1 << bits
     return CandidateSet(_canonical_filter(found, rho, eps), n)
@@ -273,7 +269,8 @@ EMPTY = -1.0  # sentinel outside the value range [0, 1)
 class ValueTable:
     """(value, pattern) store produced by expand or splat.
 
-    Dense form: no empty cells, values non-decreasing. Sparse form: capacity
+    Dense form: no empty cells, values non-decreasing (the query side that
+    find takes may be in any order). Sparse form: capacity
     2 * 2^width with EMPTY holes; occupied cells are circularly non-decreasing
     starting from the global minimum.
     """
@@ -327,21 +324,28 @@ class ValueTable:
         return ValueTable(values=vals, patterns=pats, width=self.width, sparse=False)
 
 
+def _half_table(values, argsort, stats: RecombineStats | None) -> ValueTable:
+    """Dense table of the 2^len fractional subset sums of values, ordered by
+    argsort(sums), or left in pattern order when argsort is None; visited
+    counts the sums formed."""
+    sums = _fractional_sums(values)
+    if stats is not None:
+        stats.visited += len(sums)
+    order = np.arange(len(sums)) if argsort is None else argsort(sums)
+    vals = sums if argsort is None else sums[order]
+    return ValueTable(values=vals, patterns=order, width=len(values), sparse=False)
+
+
+def _stable_argsort(sums: np.ndarray) -> np.ndarray:
+    return np.argsort(sums, kind="stable")
+
+
 def expand(rho_half: RhoVector, stats: RecombineStats | None = None) -> ValueTable:
     """All 2^len half-pattern values, stable-sorted by (value, pattern)."""
     m = len(rho_half)
     if m > 32:
         raise WidthExceeded(f"expand handles half widths <= 32, got {m}")
-    sums = _fractional_sums(rho_half.values)
-    order = np.argsort(sums, kind="stable")
-    if stats is not None:
-        stats.visited += 1 << m
-    return ValueTable(
-        values=sums[order],
-        patterns=order.astype(np.int64),
-        width=m,
-        sparse=False,
-    )
+    return _half_table(rho_half.values, _stable_argsort, stats)
 
 
 def _insert(values, patterns, k: int, x: float, pattern: int) -> int:
@@ -409,18 +413,16 @@ def _splat_table(rho_half: RhoVector, argsort, stats: RecombineStats | None) -> 
     m = len(rho_half)
     if m > 31:
         raise WidthExceeded(f"splat handles half widths <= 31, got {m}")
-    sums = _fractional_sums(rho_half.values)
-    order = argsort(sums)
-    k = 2 * len(sums)
-    cells, probes = _splat_cells(sums[order], k)
+    dense = _half_table(rho_half.values, argsort, stats)
+    k = 2 * len(dense.values)
+    cells, probes = _splat_cells(dense.values, k)
     values = np.full(k, EMPTY, dtype=np.float64)
-    values[cells] = sums[order]
+    values[cells] = dense.values
     patterns = np.zeros(k, dtype=np.int64)
-    patterns[cells] = order
+    patterns[cells] = dense.patterns
     if stats is not None:
-        stats.inserts += len(sums)
+        stats.inserts += len(dense.values)
         stats.insert_probes += probes
-        stats.visited += len(sums)
     return ValueTable(values=values, patterns=patterns, width=m, sparse=True)
 
 
@@ -432,7 +434,7 @@ def splat(rho_half: RhoVector, stats: RecombineStats | None = None) -> ValueTabl
     cell for cell, except that equal values sit in pattern order (the serial
     carries leave them in an order that depends on their history); content()
     and the probe count are the same either way."""
-    return _splat_table(rho_half, lambda sums: np.argsort(sums, kind="stable"), stats)
+    return _splat_table(rho_half, _stable_argsort, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -478,81 +480,58 @@ def find(alpha: ValueTable, beta: ValueTable, eps: float) -> np.ndarray:
     """All concatenated patterns with alpha_i + beta_j within the accept
     bands, as a uint64 array: one window query of every (1 - alpha_i) mod 1
     against the sorted beta values, so the bands at 0, 1 and 2 are one
-    circular window. Duplicate-value neighborhoods are fully enumerated.
-    Raw discovery output; the caller applies the canonical filter."""
+    circular window. beta must be dense and sorted; alpha's values may come
+    in any order, since the targets are sorted here. Duplicate-value
+    neighborhoods are fully enumerated. Raw discovery output; the caller
+    applies the canonical filter."""
     if alpha.sparse or beta.sparse:
-        raise ValueError("find requires dense sorted tables")
-    t = np.mod(1.0 - alpha.values, 1.0)
+        raise ValueError("find requires dense tables")
+    t = 1.0 - alpha.values
+    t[t == 1.0] = 0.0  # (1 - x) mod 1, bit for bit, and far cheaper than np.mod
     qorder = np.argsort(t)
-    qi, vj = _window_pairs(t[qorder], beta.values, eps + GUARD)
+    t = t[qorder]
+    qi, vj = _window_pairs(t, beta.values, eps + GUARD)
     apat = alpha.patterns[qorder[qi]].astype(np.uint64)
     bpat = beta.patterns[vj].astype(np.uint64)
     return apat | (bpat << alpha.width)
 
 
-def _split(rho: RhoVector) -> tuple[RhoVector, RhoVector]:
+def _meet(rho: RhoVector, eps: float, stats: RecombineStats | None, table) -> CandidateSet:
+    """Meet in the middle for backends c, d and e, which differ only in
+    table(high half, stats), the high half's dense sorted table; the low
+    half's sums stay in pattern order, since find sorts their complements.
+    visited counts the 2^na + 2^nb sums formed. A half table costs tens of
+    bytes per sum, so halves of more than _PAIR_LIMIT sums, the window
+    query's own budget, are refused before any sum is formed."""
     n = len(rho)
-    na = n // 2
-    return (
-        RhoVector.from_values(rho.values[:na]),
-        RhoVector.from_values(rho.values[na:]),
-    )
-
-
-def _guard_width(n: int, half_limit: int) -> None:
+    half_limit = _PAIR_LIMIT.bit_length() - 1
     if n > 64:
         raise WidthExceeded(f"pattern width is capped at 64 bits, got {n}")
     if n - n // 2 > half_limit:
         raise WidthExceeded(f"half width {n - n // 2} exceeds backend limit {half_limit}")
-
-
-def recombine_c(rho: RhoVector, eps: float, stats: RecombineStats | None = None) -> CandidateSet:
-    """Expand both halves, sort, sweep."""
-    n = len(rho)
-    _guard_width(n, 32)
-    if n < 2:
-        return recombine_a(rho, eps, stats)
-    rho_a, rho_b = _split(rho)
-    alpha = expand(rho_a, stats)
-    beta = expand(rho_b, stats)
-    raw = find(alpha, beta, eps)
-    return CandidateSet(_canonical_filter(raw, rho, eps), n)
-
-
-def recombine_d(rho: RhoVector, eps: float, stats: RecombineStats | None = None) -> CandidateSet:
-    """Splat-sort both halves, compact, sweep."""
-    n = len(rho)
-    _guard_width(n, 31)
-    if n < 2:
-        return recombine_a(rho, eps, stats)
-    rho_a, rho_b = _split(rho)
-    alpha = splat(rho_a, stats).compact()
-    beta = splat(rho_b, stats).compact()
-    raw = find(alpha, beta, eps)
-    return CandidateSet(_canonical_filter(raw, rho, eps), n)
-
-
-def recombine_e(rho: RhoVector, eps: float, stats: RecombineStats | None = None) -> CandidateSet:
-    """Sort the high half's values once and find every low-half pattern's
-    partners with window queries against them.
-
-    visited counts the 2^na + 2^nb subset sums formed. No table is built,
-    so nothing is inserted or probed."""
-    n = len(rho)
-    _guard_width(n, 31)
     if n < 2:
         return recombine_a(rho, eps, stats)
     na = n // 2
-    bsums = _fractional_sums(rho.values[na:])
-    border = np.argsort(bsums)
-    t = 1.0 - _fractional_sums(rho.values[:na])
-    t[t == 1.0] = 0.0  # (1 - x) % 1.0, bit for bit
-    qorder = np.argsort(t)
-    qi, vj = _window_pairs(t[qorder], bsums[border], eps + GUARD)
-    raw = qorder[qi] | (border[vj] << na)
-    if stats is not None:
-        stats.visited += len(bsums) + len(t)
-    return CandidateSet(_canonical_filter(raw, rho, eps), n)
+    alpha = _half_table(rho.values[:na], None, stats)
+    beta = table(RhoVector.from_values(rho.values[na:]), stats)
+    return CandidateSet(_canonical_filter(find(alpha, beta, eps), rho, eps), n)
+
+
+def recombine_c(rho: RhoVector, eps: float, stats: RecombineStats | None = None) -> CandidateSet:
+    """Meet in the middle against the high half's expand table."""
+    return _meet(rho, eps, stats, expand)
+
+
+def recombine_d(rho: RhoVector, eps: float, stats: RecombineStats | None = None) -> CandidateSet:
+    """Meet in the middle against the high half's splat table, compacted;
+    only the high half is inserted and probed."""
+    return _meet(rho, eps, stats, lambda half, st: splat(half, st).compact())
+
+
+def recombine_e(rho: RhoVector, eps: float, stats: RecombineStats | None = None) -> CandidateSet:
+    """Meet in the middle against the high half's sums sorted by one
+    unstable argsort, the cheapest table; nothing is inserted or probed."""
+    return _meet(rho, eps, stats, lambda half, st: _half_table(half.values, np.argsort, st))
 
 
 BACKENDS = {

@@ -314,6 +314,8 @@ def test_workers_default_is_one():
         ["bench", "--trials", "0"],
         ["bench", "--trials", "-1"],
         ["factor", "x^2-1", "--eps", "1e-15"],
+        ["factor", "x^2-2", "--dump-roots", "/nonexistent/r.csv"],
+        ["bench", "--degrees", "8", "--trials", "1", "--csv", "/nonexistent/x.csv"],
     ],
 )
 def test_argument_errors_exit_2_with_one_line(argv, capsys):

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+import polyfactor.recombine as recombine
 from polyfactor.errors import WidthExceeded
 from polyfactor.polynomial import gen_random_reducible
 from polyfactor.recombine import (
@@ -95,17 +96,20 @@ def test_recombine_a_matches_double_loop():
         assert recombine_a(rho, EPS).patterns == brute_force(rho, EPS)
 
 
-def test_recombine_a_chunked_path():
-    # n = 23 forces the chunked scan; compare against an eps wide enough to
-    # produce hits without the double loop being feasible at full width
+@pytest.mark.parametrize("n", [21, 22, 23])
+def test_recombine_a_chunked_path(n):
+    # the scan adds each high pattern's sum to the 2^20 low sums: one pass
+    # at n = 21 (bits = 20, no high bits), two at n = 22, four at n = 23;
+    # compare against an eps wide enough to produce hits without the double
+    # loop being feasible at full width
     rng = random.Random(6)
-    rho = rv(sorted(rng.random() for _ in range(23)))
+    rho = rv(sorted(rng.random() for _ in range(n)))
     big = recombine_a(rho, 1e-4).patterns
     # spot-check every reported pattern and a random non-member sample
     for s in big:
         assert accept(value(s, rho), 1e-4)
     for _ in range(2000):
-        s = rng.randrange(1 << 22)
+        s = rng.randrange(1 << (n - 1))
         if s not in big:
             assert not accept(value(s, rho), 1e-4)
 
@@ -187,15 +191,18 @@ def _parity_vectors(seed: int):
                 yield kind(n), (1e-3, 1e-6, 1e-9)[(n + i) % 3]
 
 
-def test_recombine_e_reference_parity():
-    # backend e's window queries give backend a's set; it forms the subset
-    # sums of both halves
+@pytest.mark.parametrize("backend", ["c", "d", "e"])
+def test_meet_in_middle_reference_parity(backend):
+    # c, d and e share one window query and differ only in the high half's
+    # table: each gives backend a's set on tie-heavy vectors and forms the
+    # subset sums of both halves, and d splats the high half alone
     for vals, eps in _parity_vectors(33):
         rho = rv(vals)
         n, na = len(rho), len(rho) // 2
         st = RecombineStats()
-        assert recombine_e(rho, eps, st).patterns == recombine_a(rho, eps).patterns
-        assert st == RecombineStats(visited=2**na + 2 ** (n - na)), (vals, eps)
+        assert BACKENDS[backend](rho, eps, st).patterns == recombine_a(rho, eps).patterns
+        assert st.visited == 2**na + 2 ** (n - na), (vals, eps)
+        assert st.inserts == (2 ** (n - na) if backend == "d" else 0), (vals, eps)
 
 
 def test_jump_soundness_exhaustive():
@@ -264,6 +271,11 @@ def test_find_four_pair_exhaustive():
     )
     got = set(find(alpha, beta, EPS).tolist())
     assert got == {0b10, 0b01}  # 0.2+0.8 and 0.9+0.1
+    # the query side may come in any order; only beta must be sorted
+    reverse = ValueTable(
+        values=np.array([0.9, 0.2]), patterns=np.array([1, 0]), width=1, sparse=False
+    )
+    assert set(find(reverse, beta, EPS).tolist()) == {0b10, 0b01}
 
 
 def test_find_matches_oracle_through_c():
@@ -502,9 +514,21 @@ def test_width_guards_c_d_e():
     with pytest.raises(WidthExceeded):
         recombine_c(rv([0.5] * 65), EPS)
     with pytest.raises(WidthExceeded):
-        recombine_d(rv([0.5] * 63), EPS)  # half width 32 > 31
+        recombine_d(rv([0.5] * 63), EPS)  # half width 32 > 24
     with pytest.raises(WidthExceeded):
         recombine_e(rv([0.5] * 63), EPS)
+
+
+@pytest.mark.parametrize("backend", [recombine_c, recombine_d, recombine_e])
+def test_half_width_guard_before_any_sum(backend, monkeypatch):
+    # the tables of a half of 2^25 sums take gigabytes, so n = 49 is refused
+    # before a single subset sum is formed
+    def no_sums(values):
+        raise AssertionError("subset sums formed before the width guard")
+
+    monkeypatch.setattr(recombine, "subset_sums", no_sums)
+    with pytest.raises(WidthExceeded, match="half width 25 exceeds backend limit 24"):
+        backend(rv([0.5] * 49), EPS)
 
 
 @pytest.mark.parametrize("backend", [recombine_c, recombine_d, recombine_e])

@@ -51,12 +51,13 @@ TRACED = {
 }
 
 
-def test_benchmark_entry_points():
+def test_benchmark_entry_points(monkeypatch):
     # perfbench/run.py imports polyfactor.parallel, calls factor() with the
     # worker count as the fourth positional argument, wraps the TRACED
     # attributes and reads the counters below from res.stats
     import importlib
 
+    import polyfactor.recombine as recombine
     from polyfactor import IntPolynomial, factor
     from polyfactor.rootfinder import ToleranceConfig
 
@@ -64,8 +65,19 @@ def test_benchmark_entry_points():
         module = importlib.import_module(f"polyfactor.{mod}")
         for attr in attrs:
             assert hasattr(module, attr), f"polyfactor.{mod}.{attr}"
+    # the recombine spans see a call only if backend e reaches these
+    # functions through the module attribute, as the wrappers replace it
+    calls = dict.fromkeys(TRACED["recombine"], 0)
+    for attr in calls:
+
+        def counted(*args, _attr=attr, _fn=getattr(recombine, attr), **kwargs):
+            calls[_attr] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(recombine, attr, counted)
     p = IntPolynomial([-2, 0, 1]) * IntPolynomial([1, 1, 1])
     res = factor(p, ToleranceConfig(eps=1e-9), "e", 2)
+    assert all(calls.values()), calls
     assert res.factors == ((IntPolynomial([-2, 0, 1]), 1), (IntPolynomial([1, 1, 1]), 1))
     assert res.certificate
     assert hasattr(res.stats, "candidates")
