@@ -46,14 +46,12 @@ class RhoVector:
     is_sorted: bool
 
     @classmethod
-    def from_values(cls, values, sort: bool = False) -> "RhoVector":
+    def from_values(cls, values) -> "RhoVector":
         vals = np.asarray(values, dtype=np.float64)
         if vals.ndim != 1:
             raise ValueError("rho must be one-dimensional")
         if len(vals) and (vals.min() < 0.0 or vals.max() >= 1.0):
             raise ValueError("rho entries must lie in [0, 1)")
-        if sort:
-            vals = np.sort(vals)
         sigma = np.concatenate(([0.0], np.cumsum(vals)))
         srt = bool(np.all(np.diff(vals) >= 0)) if len(vals) else True
         return cls(values=vals, sigma=sigma, is_sorted=srt)

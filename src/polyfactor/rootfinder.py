@@ -1,13 +1,15 @@
 """Numerical root finding and root classification.
 
-The solver is a simultaneous (all roots at once) fixed-point iteration with a
-Newton polish. It starts from the eigenvalues of the double-precision
-companion matrix, which are already close to the roots, and refines them in
-80-bit extended floats when the platform has them, so that one or two sweeps
-reach the stop rule and sums of ~50 fractional parts still resolve integers
-well below the acceptance tolerance. Inputs whose companion matrix cannot be
-formed or gives no distinct finite eigenvalues in double precision start on
-a perturbed circle inside the Cauchy bound instead.
+The solver is Aberth's simultaneous (all roots at once) iteration, which
+converges cubically near simple roots and ends on its own step rule. It
+starts from the eigenvalues of the double-precision companion matrix,
+which are already close to the roots, and refines them in np.longdouble
+(80-bit extended floats where the platform has them, float64 where it does
+not), so that one or two sweeps reach the stop rule and sums of ~50
+fractional parts still resolve integers well below the acceptance
+tolerance. Inputs whose companion matrix cannot be formed or gives no
+distinct finite eigenvalues in double precision start on a perturbed circle
+inside the Cauchy bound instead.
 """
 from __future__ import annotations
 
@@ -19,13 +21,14 @@ import numpy as np
 from .errors import NonConvergence, UnpairedComplexRoot
 from .polynomial import IntPolynomial
 
-_HAS_EXTENDED = np.finfo(np.longdouble).nmant > 52
 # at or past 2^62 a double holds no fraction, so no float certifies an integer
 INT_LIMIT = 1 << 62
 # absolute slack added to every discovery band before the canonical re-test;
 # must dominate float64 association error of <=64-term sums (~1e-14), so it
 # is also the smallest eps that the acceptance test can honor
 GUARD = 1e-12
+# a root is real when |imag| is at most this times max(1, |root|)
+_IMAG_THRESHOLD = 1e-9
 
 
 @dataclass(frozen=True)
@@ -33,24 +36,22 @@ class ToleranceConfig:
     """Numeric tolerances for the whole pipeline.
 
     eps drives candidate acceptance (how close a subset sum must be to an
-    integer), root_tol stops the root iteration, imag_threshold separates
-    real roots from conjugate pairs (scaled by root magnitude). The root
-    iteration runs in 80-bit extended floats where the platform has them,
-    and in float64 otherwise.
+    integer); root_tol is the relative step that stops the root iteration,
+    and max_iterations the number of sweeps it may take to get there.
     """
 
     eps: float = 1e-6
     root_tol: float = 1e-12
-    imag_threshold: float = 1e-9
     max_iterations: int = 500
 
     def __post_init__(self):
         if not GUARD <= self.eps < 0.5:
             raise ValueError(f"eps must be in [{GUARD:g}, 0.5)")
-        if self.root_tol <= 0:
+        # written so that NaN fails it
+        if not self.root_tol > 0:
             raise ValueError("root_tol must be positive")
-        if self.imag_threshold <= 0:
-            raise ValueError("imag_threshold must be positive")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -112,27 +113,19 @@ def find_roots(p: IntPolynomial, cfg: ToleranceConfig | None = None) -> np.ndarr
     d = p.degree
     if d < 1:
         raise ValueError("find_roots requires degree >= 1")
-    if p.is_zero():
-        raise ValueError("zero polynomial has no root set")
-    rdtype = np.longdouble if _HAS_EXTENDED else np.float64
-    cdtype = np.clongdouble if _HAS_EXTENDED else np.complex128
 
     with np.errstate(over="ignore"):
-        c = np.array([to_float(a, rdtype) for a in p.coeffs], dtype=cdtype)
+        c = np.array([to_float(a, np.longdouble) for a in p.coeffs], dtype=np.clongdouble)
     if not np.all(np.isfinite(c)):
         raise NonConvergence("a coefficient is past the float range")
     c = c / c[-1]
-    if d == 1:
-        z = np.array([-c[0]], dtype=cdtype)
-    else:
-        z = _aberth(c, cfg, cdtype)
-    z = _newton_polish(c, z)
+    z = -c[:1] if d == 1 else _aberth(c, cfg)
     with np.errstate(over="ignore"):
         z = np.asarray(z, dtype=np.complex128)
         big = np.max(np.abs(z))
     if not big < INT_LIMIT:
         raise NonConvergence(f"a root of magnitude {big:.3g} is past 2^62")
-    return _symmetrize(z, cfg)
+    return _symmetrize(z)
 
 
 def _eigenvalue_start(c: np.ndarray) -> np.ndarray | None:
@@ -153,7 +146,7 @@ def _eigenvalue_start(c: np.ndarray) -> np.ndarray | None:
     return z
 
 
-def _circle_start(c: np.ndarray, cdtype) -> np.ndarray:
+def _circle_start(c: np.ndarray) -> np.ndarray:
     # the radius stays extended: a coefficient can be past the double range
     d = len(c) - 1
     mags = np.abs(c)
@@ -161,23 +154,23 @@ def _circle_start(c: np.ndarray, cdtype) -> np.ndarray:
     k = np.arange(d)
     # irrational-ish angle offset and radius jitter break conjugate lockstep
     ang = 2 * np.pi * k / d + 0.4
-    return (rad * np.exp(1j * ang) * (1 + 0.08 * np.cos(3.7 * k + 1.2))).astype(cdtype)
+    return (rad * np.exp(1j * ang) * (1 + 0.08 * np.cos(3.7 * k + 1.2))).astype(c.dtype)
 
 
 # a sweep's overflow or invalid operation leaves a non-finite iterate, which raises
 @np.errstate(over="ignore", invalid="ignore")
-def _aberth(c: np.ndarray, cfg: ToleranceConfig, cdtype) -> np.ndarray:
+def _aberth(c: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
     d = len(c) - 1
-    dc = c[1:] * np.arange(1, d + 1, dtype=cdtype)
+    dc = c[1:] * np.arange(1, d + 1, dtype=c.dtype)
     z = _eigenvalue_start(c)
-    z = _circle_start(c, cdtype) if z is None else z.astype(cdtype)
+    z = _circle_start(c) if z is None else z.astype(c.dtype)
 
-    tiny = np.finfo(cdtype).tiny
+    tiny = np.finfo(c.dtype).tiny
     for _ in range(cfg.max_iterations):
-        pv = np.zeros(d, dtype=cdtype)
+        pv = np.zeros(d, dtype=c.dtype)
         for a in c[::-1]:
             pv = pv * z + a
-        dv = np.zeros(d, dtype=cdtype)
+        dv = np.zeros(d, dtype=c.dtype)
         for a in dc[::-1]:
             dv = dv * z + a
         dv = np.where(dv == 0, tiny, dv)
@@ -199,28 +192,13 @@ def _aberth(c: np.ndarray, cfg: ToleranceConfig, cdtype) -> np.ndarray:
     )
 
 
-def _newton_polish(c: np.ndarray, z: np.ndarray, rounds: int = 2) -> np.ndarray:
-    d = len(c) - 1
-    dc = c[1:] * np.arange(1, d + 1, dtype=c.dtype)
-    for _ in range(rounds):
-        pv = np.zeros_like(z)
-        for a in c[::-1]:
-            pv = pv * z + a
-        dv = np.zeros_like(z)
-        for a in dc[::-1]:
-            dv = dv * z + a
-        safe = dv != 0
-        z = np.where(safe, z - pv / np.where(safe, dv, 1.0), z)
-    return z
-
-
-def _pair_conjugates(z: np.ndarray, cfg: ToleranceConfig) -> tuple[np.ndarray, list[complex]]:
+def _pair_conjugates(z: np.ndarray) -> tuple[np.ndarray, list[complex]]:
     """Sorted real parts of the (near-)real roots, and one averaged
     upper-half-plane representative per conjugate pair, in the order of the
     upper roots sorted by (real, imag). Raises UnpairedComplexRoot when a
     complex root has no partner within tolerance."""
     scale = np.maximum(1.0, np.abs(z))
-    real_mask = np.abs(z.imag) <= cfg.imag_threshold * scale
+    real_mask = np.abs(z.imag) <= _IMAG_THRESHOLD * scale
     reals = np.sort(z.real[real_mask])
     rest = z[~real_mask]
     uppers = sorted((w for w in rest if w.imag > 0), key=lambda w: (w.real, w.imag))
@@ -238,8 +216,8 @@ def _pair_conjugates(z: np.ndarray, cfg: ToleranceConfig) -> tuple[np.ndarray, l
     return reals, pairs
 
 
-def _symmetrize(z: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
-    reals, pairs = _pair_conjugates(z, cfg)
+def _symmetrize(z: np.ndarray) -> np.ndarray:
+    reals, pairs = _pair_conjugates(z)
     pairs.sort(key=lambda w: (w.real, w.imag))
     out = np.empty(len(z), dtype=np.complex128)
     out[: len(reals)] = reals
@@ -249,15 +227,14 @@ def _symmetrize(z: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
     return out
 
 
-def build_profile(roots: np.ndarray, cfg: ToleranceConfig | None = None) -> RootProfile:
+def build_profile(roots: np.ndarray) -> RootProfile:
     """Classify a conjugate-closed root multiset and build the sorted rho vector.
 
     Real roots contribute frac(u); each conjugate pair contributes
     frac(z + conj(z)) once. Raises UnpairedComplexRoot when a complex root
     has no partner within tolerance.
     """
-    cfg = cfg or ToleranceConfig()
-    reals, pairs = _pair_conjugates(np.asarray(roots, dtype=np.complex128), cfg)
+    reals, pairs = _pair_conjugates(np.asarray(roots, dtype=np.complex128))
     sums = [float(2.0 * w.real) for w in pairs]
     prods = [float(abs(w) ** 2) for w in pairs]
 
@@ -277,8 +254,7 @@ def build_profile(roots: np.ndarray, cfg: ToleranceConfig | None = None) -> Root
 
 def profile_polynomial(p: IntPolynomial, cfg: ToleranceConfig | None = None) -> RootProfile:
     """find_roots followed by build_profile."""
-    cfg = cfg or ToleranceConfig()
-    return build_profile(find_roots(p, cfg), cfg)
+    return build_profile(find_roots(p, cfg))
 
 
 def expected_real_roots(d) -> float:

@@ -189,6 +189,13 @@ def _trace_tables(profile: RootProfile, e_max: int) -> tuple[list[int], np.ndarr
     )
 
 
+def _consulted(m, scales: np.ndarray, deg: np.ndarray, eps: float) -> np.ndarray:
+    """trace_test's rule on many candidates at once: the order-m trace of a
+    candidate of degree deg is consulted when m <= deg and it is resolvable,
+    m * scale * _TRACE_REL < eps with scale below 2^62."""
+    return (m * scales * _TRACE_REL < eps) & (scales < INT_LIMIT) & (m <= deg)
+
+
 def screen_candidates(patterns, profile: RootProfile, eps: float):
     """Yield (pattern, degree, passed) for every pattern, in (degree,
     pattern) order, where degree is selected_degree(s) and passed is
@@ -203,9 +210,9 @@ def screen_candidates(patterns, profile: RootProfile, eps: float):
     recombination already tested. Stage 2 gives the rows stage 1 kept the
     scales of every order, then the traces of the orders some row consults,
     and applies trace_test's rule to all of them. Every product sums in
-    _trace_tables' row order, and the rule is applied unchanged. Chunks are
-    screened lazily, so a caller that stops at some degree never screens the
-    chunks after it."""
+    _trace_tables' row order, and both stages take the rule from _consulted.
+    Chunks are screened lazily, so a caller that stops at some degree never
+    screens the chunks after it."""
     pats = np.fromiter(patterns, dtype=np.uint64, count=len(patterns))
     if not len(pats):
         return
@@ -231,14 +238,12 @@ def screen_candidates(patterns, profile: RootProfile, eps: float):
             scale = (sel @ mags[:, 1]).astype(np.float64)
             trace = sel @ powers[:, 1]
             off = np.abs((trace - np.rint(trace)).astype(np.float64)) >= eps
-            passed = ~(off & (2 * scale * _TRACE_REL < eps) & (scale < INT_LIMIT) & (deg >= 2))
+            passed = ~(off & _consulted(2, scale, deg, eps))
         # stage 2: every consulted order, on the rows stage 1 kept
         keep = np.flatnonzero(passed)
         sel = sel[keep]
         scales = (sel @ mags[:, :e]).astype(np.float64)
-        m = np.arange(1, e + 1, dtype=np.uint64)
-        consult = (m * scales * _TRACE_REL < eps) & (scales < INT_LIMIT)
-        consult &= m <= deg[keep, None]
+        consult = _consulted(np.arange(1, e + 1, dtype=np.uint64), scales, deg[keep, None], eps)
         # only the orders some candidate consults are worth a product
         used = np.flatnonzero(consult.any(axis=0))
         traces = sel @ powers[:, used]
@@ -370,7 +375,7 @@ def _factor_squarefree(
                 f"too large for eps {cfg.eps:g}"
             )
         roots = y.astype(np.complex128)
-    profile = build_profile(roots, cfg)
+    profile = build_profile(roots)
     stats.root_seconds += time.perf_counter() - t0
 
     rho = RhoVector.from_profile(profile)

@@ -34,8 +34,8 @@ from polyfactor.rootfinder import ToleranceConfig, profile_polynomial
 EPS = 1e-6
 
 
-def rv(vals, sort=False):
-    return RhoVector.from_values(vals, sort=sort)
+def rv(vals):
+    return RhoVector.from_values(vals)
 
 
 def brute_force(rho: RhoVector, eps: float) -> frozenset:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -126,7 +127,7 @@ def test_circle_start_radius_stays_in_the_coefficients_dtype():
     from polyfactor.rootfinder import _circle_start, to_float
 
     c = np.array([to_float(v, np.longdouble) for v in (10**800, 0, 0, 0, 1)], dtype=np.clongdouble)
-    assert np.all(np.isfinite(_circle_start(c, np.clongdouble)))
+    assert np.all(np.isfinite(_circle_start(c)))
     with pytest.raises(NonConvergence, match="2\\^62"):
         find_roots(P([10**800, 0, 0, 0, 1]), CFG)
 
@@ -136,7 +137,7 @@ def test_aberth_stops_at_the_first_non_finite_iterate():
 
     c = np.array([np.nan, 0, 1], dtype=np.clongdouble)
     with pytest.raises(NonConvergence, match="non-finite"):
-        _aberth(c, CFG, np.clongdouble)
+        _aberth(c, CFG)
 
 
 def test_coefficients_past_the_float_range_raise():
@@ -172,7 +173,7 @@ def test_profile_pair_sum_two():
 def test_profile_negative_pair_sum():
     # synthetic pair with sum -0.25 -> rho entry 0.75
     roots = np.array([-0.125 + 0.8j, -0.125 - 0.8j])
-    prof = build_profile(roots, CFG)
+    prof = build_profile(roots)
     assert prof.rho.tolist() == pytest.approx([0.75], abs=1e-12)
     assert prof.pair_products.tolist() == pytest.approx([0.125**2 + 0.64], abs=1e-12)
 
@@ -180,7 +181,7 @@ def test_profile_negative_pair_sum():
 def test_profile_of_inexact_conjugates():
     # a pair 1e-10 off conjugacy is averaged to 1 + 2.00000000005i; a real
     # root with a 1e-12 imaginary part counts as real
-    prof = build_profile(np.array([1 + 2j, 1 - 2.0000000001j, 3, -1.5 + 1e-12j]), CFG)
+    prof = build_profile(np.array([1 + 2j, 1 - 2.0000000001j, 3, -1.5 + 1e-12j]))
     assert prof.real_roots.tolist() == [-1.5, 3.0]
     assert prof.pair_sums.tolist() == [2.0]
     assert prof.pair_products.tolist() == [float.fromhex("0x1.4000000036f9bp+2")]
@@ -190,9 +191,9 @@ def test_profile_of_inexact_conjugates():
 
 def test_profile_unpaired_root_raises():
     with pytest.raises(UnpairedComplexRoot):
-        build_profile(np.array([1.0 + 1.0j, 2.0 - 1.0j, 0.5]), CFG)
+        build_profile(np.array([1.0 + 1.0j, 2.0 - 1.0j, 0.5]))
     with pytest.raises(UnpairedComplexRoot):
-        build_profile(np.array([1.0 + 1.0j]), CFG)
+        build_profile(np.array([1.0 + 1.0j]))
 
 
 def test_rho_sum_matches_trace(monkeypatch=None):
@@ -257,6 +258,42 @@ def test_swinnerton_dyer_roots_all_real():
     assert len(roots) == 16
 
 
+def test_wilkinson_roots_against_the_integers():
+    # prod(x - k), k = 1..13: the roots are ill-conditioned, yet within 1e-10
+    m = 13
+    p = P([1])
+    for k in range(1, m + 1):
+        p = p * P([-k, 1])
+    roots = find_roots(p, CFG)
+    assert all(z.imag == 0 for z in roots)
+    got = sorted(z.real for z in roots)
+    assert max(abs(u - k) / k for u, k in zip(got, range(1, m + 1))) <= 1e-10
+
+
+@pytest.mark.parametrize("k", [24, 48, 64])
+def test_roots_of_unity_against_cos_sin(k):
+    roots = find_roots(P([-1] + [0] * (k - 1) + [1]), CFG)
+    # each root names its own k-th root of unity by its angle; all k are named
+    idx = sorted(round(math.atan2(z.imag, z.real) * k / (2 * math.pi)) % k for z in roots)
+    assert idx == list(range(k))
+    for z in roots:
+        j = round(math.atan2(z.imag, z.real) * k / (2 * math.pi))
+        want = complex(math.cos(2 * math.pi * j / k), math.sin(2 * math.pi * j / k))
+        assert abs(complex(z) - want) <= 1e-14
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_swinnerton_dyer_roots_against_radical_sums(k):
+    primes = [2, 3, 5, 7, 11][:k]
+    want = sorted(
+        math.fsum(sign * math.sqrt(q) for sign, q in zip(signs, primes))
+        for signs in itertools.product((1, -1), repeat=k)
+    )
+    roots = find_roots(gen_swinnerton_dyer(k), CFG)
+    got = sorted(z.real for z in roots)
+    assert max(abs(u - w) for u, w in zip(got, want)) <= 1e-13
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ToleranceConfig(eps=0.7)
@@ -267,3 +304,10 @@ def test_config_validation():
     assert ToleranceConfig(eps=GUARD).eps == GUARD
     with pytest.raises(ValueError):
         ToleranceConfig(root_tol=0)
+    # both surfaced later as NonConvergence, which means root non-convergence
+    with pytest.raises(ValueError, match="root_tol"):
+        ToleranceConfig(root_tol=math.nan)
+    for sweeps in (0, -1):
+        with pytest.raises(ValueError, match="max_iterations"):
+            ToleranceConfig(max_iterations=sweeps)
+    assert ToleranceConfig(max_iterations=1).max_iterations == 1

@@ -170,7 +170,7 @@ def test_trace_test_rejects_fractional_root():
     # simpler: craft a one-real-root profile directly
     from polyfactor.rootfinder import build_profile
 
-    prof = build_profile(np.array([0.5 + 0j]), CFG)
+    prof = build_profile(np.array([0.5 + 0j]))
     traces, scales = reference_traces(0b1, prof)
     assert float(traces[0]) == pytest.approx(0.5)
     assert not trace_test(traces, scales, CFG.eps)
@@ -395,12 +395,13 @@ def test_one_root_finding_and_recombination_per_square_free_part(monkeypatch, p,
         return wrapper
 
     monkeypatch.setattr(verify, "find_roots", counted("find_roots", verify.find_roots))
+    monkeypatch.setattr(verify, "build_profile", counted("build_profile", verify.build_profile))
     backends = {key: counted("recombine", fn) for key, fn in verify.BACKENDS.items()}
     monkeypatch.setattr(verify, "BACKENDS", backends)
     res = factor(p)
     assert res.certificate
     assert len(res.factors) == count
-    assert calls == {"find_roots": parts, "recombine": parts}
+    assert calls == {"find_roots": parts, "build_profile": parts, "recombine": parts}
 
 
 @pytest.mark.parametrize("k,count", [(12, 6), (24, 8), (48, 10)])
