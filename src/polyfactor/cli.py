@@ -72,7 +72,7 @@ class BenchRecord(NamedTuple):
         )
 
 _TERM_RE = re.compile(
-    r"^([+-]?\d*)\s*\*?\s*(x(?:\^(\d+)|\*\*(\d+))?)?$"
+    r"^([+-]?\d*)\s*(?:\*?\s*(x(?:\^(\d+)|\*\*(\d+))?))?$"
 )
 
 

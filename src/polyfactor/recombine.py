@@ -26,6 +26,7 @@ import numpy as np
 from .errors import WidthExceeded
 from .rootfinder import GUARD, RootProfile
 
+WIDTH_LIMIT = 64  # pattern bits; every backend caps n here or below
 _A_WIDTH_LIMIT = 30
 _A_CHUNK_BITS = 20
 _B_WIDTH_LIMIT = 30
@@ -503,8 +504,8 @@ def _meet(rho: RhoVector, eps: float, stats: RecombineStats | None, table) -> Ca
     query's own budget, are refused before any sum is formed."""
     n = len(rho)
     half_limit = _PAIR_LIMIT.bit_length() - 1
-    if n > 64:
-        raise WidthExceeded(f"pattern width is capped at 64 bits, got {n}")
+    if n > WIDTH_LIMIT:
+        raise WidthExceeded(f"pattern width is capped at {WIDTH_LIMIT} bits, got {n}")
     if n - n // 2 > half_limit:
         raise WidthExceeded(f"half width {n - n // 2} exceeds backend limit {half_limit}")
     if n < 2:

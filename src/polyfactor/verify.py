@@ -3,9 +3,10 @@
 A pattern from the recombination stage is only a hint: its selected roots sum
 to nearly an integer. Verification screens all patterns at once by
 integrality of their power-sum traces, a chunk of patterns at a time: the
-order-2 trace of every pattern first, then every other resolvable order on
-the few patterns that order keeps. It then rebuilds the real factor of each
+order-2 trace of every pattern first, then every other order on the few
+patterns that order keeps. It then rebuilds the real factor of each
 survivor, rounds its coefficients, and demands an exact integer division.
+Traces and coefficients are held to one integrality budget, _budget.
 Each square-free part gets one root finding and one recombination; a single
 walk over the screened candidates, in order of factor degree, divides out
 every confirmed factor.
@@ -19,13 +20,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonConvergence
+from .errors import NonConvergence, WidthExceeded
 from .polynomial import IntPolynomial, divide_exact, square_free_decompose
-from .recombine import BACKENDS, RecombineStats, RhoVector
+from .recombine import BACKENDS, WIDTH_LIMIT, RecombineStats, RhoVector
 from .rootfinder import INT_LIMIT, RootProfile, ToleranceConfig, build_profile, find_roots, to_float
 
-# per-root relative error budget used to decide whether a trace is still
-# numerically resolvable against the integer lattice
+# per-root relative error budget: a value summing products of m roots,
+# with terms of size scale, is taken to be within m * scale * _TRACE_REL
 _TRACE_REL = 1e-11
 # patterns screened per matrix product; bounds the bit matrix and the trace
 # and scale arrays to this many rows
@@ -108,23 +109,26 @@ def build_candidate(s: int, profile: RootProfile, lead: int = 1) -> CandidateFac
     return CandidateFactor(s, a * coeffs, abs(a) * mags, lead)
 
 
+def _budget(m, scale, eps):
+    """How far a float value summing products of m roots, with terms of size
+    scale, may lie from an integer and still be taken for one: its assumed
+    error m * scale * _TRACE_REL, or eps if larger. Elementwise on arrays.
+    A budget of 1/2 or more rejects nothing."""
+    return np.maximum(eps, m * scale * _TRACE_REL)
+
+
 def trace_test(traces: np.ndarray, scales: np.ndarray, eps: float) -> bool:
     """Screen a candidate by integrality of its power-sum traces of orders
     m = 1..e, given with their scales (the power sums of the selected roots'
-    absolute values).
+    absolute values): reject it when some order-m trace lies more than
+    max(eps, m * scale * _TRACE_REL) from an integer.
 
-    A trace is only consulted while it is numerically resolvable: once
-    m * scale * (per-root error budget) exceeds eps, the float value could
-    not distinguish integer from non-integer and the decision is deferred to
-    the exact division stage. screen_candidates applies this rule to many
-    candidates at once."""
+    This is the scalar reference for screen_candidates, which applies the
+    same rule through _budget to many candidates at once; it writes the
+    rule out itself, so that the two can be checked against each other."""
     for m0 in range(len(traces)):
-        m = m0 + 1
-        scale = float(scales[m0])
-        if m * scale * _TRACE_REL >= eps or scale >= INT_LIMIT:
-            continue
         tr = traces[m0]
-        if abs(float(tr - np.rint(tr))) >= eps:
+        if abs(float(tr - np.rint(tr))) > max(eps, (m0 + 1) * float(scales[m0]) * _TRACE_REL):
             return False
     return True
 
@@ -136,18 +140,16 @@ def round_and_divide(
     take the primitive part q and demand an exact division of p; return
     (q, p / q). None (rejection) is the normal fate of spurious patterns.
 
-    Coefficient k sums products of e - k roots, so its float error is at most
-    (e - k) * (size of its terms) * (per-root error budget), the budget of the
-    trace test. Each coefficient must lie within that bound, or within eps
-    if larger, of an integer; exact division decides the rest."""
+    Coefficient k sums products of e - k roots, so it must lie within
+    _budget(e - k, size of its terms, eps) of an integer, the trace screen's
+    rule; exact division decides the rest."""
     e = cand.degree
     rounded: list[int] = []
     for k, c in enumerate(cand.real_coeffs[:e]):
         r = np.rint(c)
         if abs(float(r)) >= INT_LIMIT:
             return None
-        tol = max(eps, (e - k) * float(cand.coeff_scales[k]) * _TRACE_REL)
-        if abs(float(c - r)) > tol:
+        if abs(float(c - r)) > _budget(e - k, float(cand.coeff_scales[k]), eps):
             return None
         rounded.append(int(r))
     q = IntPolynomial(rounded + [cand.lead]).primitive_part()
@@ -189,13 +191,6 @@ def _trace_tables(profile: RootProfile, e_max: int) -> tuple[list[int], np.ndarr
     )
 
 
-def _consulted(m, scales: np.ndarray, deg: np.ndarray, eps: float) -> np.ndarray:
-    """trace_test's rule on many candidates at once: the order-m trace of a
-    candidate of degree deg is consulted when m <= deg and it is resolvable,
-    m * scale * _TRACE_REL < eps with scale below 2^62."""
-    return (m * scales * _TRACE_REL < eps) & (scales < INT_LIMIT) & (m <= deg)
-
-
 def screen_candidates(patterns, profile: RootProfile, eps: float):
     """Yield (pattern, degree, passed) for every pattern, in (degree,
     pattern) order, where degree is selected_degree(s) and passed is
@@ -204,15 +199,15 @@ def screen_candidates(patterns, profile: RootProfile, eps: float):
 
     Each chunk is screened in two stages, both products of its bit matrix
     with the tables of _trace_tables. Stage 1 takes the order-2 column of
-    the scale and power-sum tables alone and drops the rows whose order-2
-    trace trace_test would consult and find off the integer lattice; that
-    order settles almost every spurious pattern, since order 1 is what
-    recombination already tested. Stage 2 gives the rows stage 1 kept the
-    scales of every order, then the traces of the orders some row consults,
-    and applies trace_test's rule to all of them. Every product sums in
-    _trace_tables' row order, and both stages take the rule from _consulted.
-    Chunks are screened lazily, so a caller that stops at some degree never
-    screens the chunks after it."""
+    the scale and power-sum tables alone and drops the rows of degree 2 or
+    more whose order-2 trace lies past its _budget; that order settles
+    almost every spurious pattern, since order 1 is what recombination
+    already tested. Stage 2 gives the rows stage 1 kept the scales of every
+    order, then the traces of the orders where some row's budget is below
+    1/2 (no other order can reject a row), and rejects a row with a trace
+    past its budget at an order up to its degree. Every product sums in
+    _trace_tables' row order. Chunks are screened lazily, so a caller that
+    stops at some degree never screens the chunks after it."""
     pats = np.fromiter(patterns, dtype=np.uint64, count=len(patterns))
     if not len(pats):
         return
@@ -237,18 +232,18 @@ def screen_candidates(patterns, profile: RootProfile, eps: float):
             # stage 1: the order-2 trace alone settles most spurious rows
             scale = (sel @ mags[:, 1]).astype(np.float64)
             trace = sel @ powers[:, 1]
-            off = np.abs((trace - np.rint(trace)).astype(np.float64)) >= eps
-            passed = ~(off & _consulted(2, scale, deg, eps))
-        # stage 2: every consulted order, on the rows stage 1 kept
+            off = np.abs((trace - np.rint(trace)).astype(np.float64)) > _budget(2, scale, eps)
+            passed = ~off | (deg < 2)
+        # stage 2: every order, on the rows stage 1 kept
         keep = np.flatnonzero(passed)
         sel = sel[keep]
-        scales = (sel @ mags[:, :e]).astype(np.float64)
-        consult = _consulted(np.arange(1, e + 1, dtype=np.uint64), scales, deg[keep, None], eps)
-        # only the orders some candidate consults are worth a product
-        used = np.flatnonzero(consult.any(axis=0))
+        orders = np.arange(1, e + 1, dtype=np.uint64)
+        budgets = _budget(orders, (sel @ mags[:, :e]).astype(np.float64), eps)
+        # only an order where some row's budget is below 1/2 can reject
+        used = np.flatnonzero((budgets < 0.5).any(axis=0))
         traces = sel @ powers[:, used]
-        off = np.abs((traces - np.rint(traces)).astype(np.float64)) >= eps
-        passed[keep] = ~np.any(off & consult[:, used], axis=1)
+        off = np.abs((traces - np.rint(traces)).astype(np.float64)) > budgets[:, used]
+        passed[keep] = ~np.any(off & (orders[used] <= deg[keep, None]), axis=1)
         yield from zip(pats[start:stop].tolist(), deg.tolist(), passed.tolist())
 
 
@@ -357,9 +352,14 @@ def _factor_squarefree(
     pattern and its complement, so no candidate selects the root of bit
     n - 1: every factor except the one owning that root is a candidate, and
     that one is the remainder. A candidate of the remainder's degree or more
-    cannot be a proper factor of it, which ends the walk."""
+    cannot be a proper factor of it, which ends the walk. Degree d gives
+    n >= ceil(d/2), so a part past WIDTH_LIMIT is refused before root finding."""
     if p.degree <= 1:
         return [p]
+    if (n := (p.degree + 1) // 2) > WIDTH_LIMIT:
+        raise WidthExceeded(
+            f"pattern width is capped at {WIDTH_LIMIT} bits, degree {p.degree} needs {n}"
+        )
 
     t0 = time.perf_counter()
     roots = find_roots(p, cfg)

@@ -35,7 +35,7 @@ def test_parse_symbolic():
 def test_parse_errors():
     from polyfactor.errors import PolynomialParseError
 
-    for bad in ("", "1 2 fish", "x^", "y^2", "++", "2**x"):
+    for bad in ("", "1 2 fish", "x^", "y^2", "++", "2**x", "2*-x", "x+3*"):
         with pytest.raises(PolynomialParseError):
             parse_polynomial(bad)
 
@@ -137,7 +137,7 @@ def test_factor_width_exit_code_any_worker_count(workers, capsys):
     text = " ".join(str(rng.randint(-3, 3)) for _ in range(131)) + " 1"
     assert main(["factor", text, "--workers", workers]) == EXIT_WIDTH
     err = capsys.readouterr().err
-    assert "width error: pattern width is capped at 64 bits, got 68" in err
+    assert "width error: pattern width is capped at 64 bits, degree 131 needs 66" in err
     assert "Traceback" not in err
 
 

@@ -303,9 +303,10 @@ def test_near_integer_root_candidate_passes_the_screen(p, counts):
 def test_screen_stages_cover_every_kind():
     # f3 (x - 400)(x + 500) at eps 1e-6 has candidates of each kind the
     # two-stage screen tells apart: rejected on the order-2 trace alone,
-    # kept by order 2 and rejected at a higher order, and not consulting
-    # order 2 at all (degree 1, or an order-2 scale too large to resolve);
-    # some of the last kind pass with an order-2 trace off the lattice
+    # kept by order 2 and rejected at a higher order, of degree 1 (which
+    # stage 1 skips), and passed. The one that passes is the true factor
+    # (x - 400)(x + 500), whose order-2 budget 2 * 410000 * _TRACE_REL is
+    # past eps, so the budget's scale term is the one in force
     eps = 1e-6
     p = gen_swinnerton_dyer(3) * P([-400, 1]) * P([500, 1])
     prof = profile_polynomial(p, ToleranceConfig(eps=eps))
@@ -313,25 +314,23 @@ def test_screen_stages_cover_every_kind():
     screened = list(screen_candidates(patterns, prof, eps))
     kinds = Counter()
     want = []
-    for s, _, _ in screened:
+    for s, e, _ in screened:
         traces, scales = reference_traces(s, prof)
         want.append(trace_test(traces, scales, eps))
-        off = len(traces) >= 2 and abs(float(traces[1] - np.rint(traces[1]))) >= eps
-        scale = float(scales[1]) if len(traces) >= 2 else math.inf
-        if not (2 * scale * verify._TRACE_REL < eps and scale < INT_LIMIT):
-            kinds["unconsulted"] += 1
-            kinds["unconsulted, off, passed"] += off and want[-1]
-        elif off:
+        if e < 2:
+            kinds["degree 1"] += 1
+            continue
+        budget = 2 * float(scales[1]) * verify._TRACE_REL
+        if abs(float(traces[1] - np.rint(traces[1]))) > max(eps, budget):
             kinds["order 2"] += 1
         elif not want[-1]:
             kinds["higher order"] += 1
+        else:
+            kinds["passed"] += 1
+            assert s == pattern_for(prof, want_reals=[400.0, -500.0])
+            assert budget == pytest.approx(8.2e-6) and budget > eps
     assert [ok for _, _, ok in screened] == want
-    assert kinds == {
-        "order 2": 7,
-        "higher order": 1,
-        "unconsulted": 27,
-        "unconsulted, off, passed": 21,
-    }
+    assert kinds == {"order 2": 28, "higher order": 4, "degree 1": 2, "passed": 1}
 
 
 def test_screen_keeps_rejection_counts():
@@ -348,17 +347,37 @@ def test_screen_keeps_rejection_counts():
 
 @pytest.mark.parametrize(
     "k,eps,screen_rejected",
-    [(2, 1e-6, 1), (3, 1e-6, 8), (4, 1e-6, 323), (3, 1e-9, 3), (4, 1e-8, 318), (4, 1e-9, 61)],
+    [
+        (2, 1e-6, 1),
+        (3, 1e-6, 8),
+        (4, 1e-6, 323),
+        (3, 1e-9, 8),
+        (4, 1e-8, 323),
+        (4, 1e-9, 323),
+        (3, 1e-11, 8),
+        (4, 1e-11, 323),
+        (5, 1e-9, 1570030),
+    ],
 )
 def test_screen_rejected_is_the_screens_part_of_rejected(k, eps, screen_rejected):
-    # the Swinnerton-Dyer f2..f4 reach every candidate and reject it; at the
-    # finer eps the screen resolves fewer traces and rounding or exact
-    # division turns down the rest
+    # the Swinnerton-Dyer f2..f5 reach every candidate and reject it, and
+    # the screen turns down every one at every eps: a finer eps does not
+    # leave traces unread for rounding or exact division
     res = factor(gen_swinnerton_dyer(k), ToleranceConfig(eps=eps))
     assert res.irreducible
     assert res.stats.rejected == res.stats.candidates
     assert res.stats.screen_rejected == screen_rejected
     assert res.stats.screen_rejected <= res.stats.rejected
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_screen_rejects_every_spurious_candidate_at_fine_eps(seed):
+    # degree-64 products of two degree-32 halves at eps 1e-9: the screen
+    # turns down every candidate the walk rejects, so none reaches division
+    f, g = gen_random_reducible_parts(64, 100, seed=seed)
+    res = factor(f * g, ToleranceConfig(eps=1e-9))
+    assert sorted(q.coeffs for q, _ in res.factors) == sorted([f.coeffs, g.coeffs])
+    assert res.stats.rejected == res.stats.screen_rejected
 
 
 def x_power_minus_one(k):
@@ -597,6 +616,17 @@ def test_factor_width_guard():
     big = P([rng.randint(-3, 3) for _ in range(131)] + [1])
     with pytest.raises(WidthExceeded):
         factor(big)
+
+
+def test_factor_refuses_a_part_too_wide_before_root_finding(monkeypatch):
+    # x^200 + 1 is square-free with no real root: n = 100 pairs, past every
+    # backend's width, so no root finding is worth running on it
+    def fail(*args, **kwargs):
+        raise AssertionError("find_roots ran on a part no backend can search")
+
+    monkeypatch.setattr(verify, "find_roots", fail)
+    with pytest.raises(WidthExceeded, match="degree 200 needs 100"):
+        factor(P([1] + [0] * 199 + [1]))
 
 
 def test_backend_independence():
