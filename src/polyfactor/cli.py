@@ -87,6 +87,9 @@ def parse_polynomial(text: str) -> IntPolynomial:
             return IntPolynomial.from_text(text)
         except ValueError as exc:
             raise PolynomialParseError(f"bad coefficient list: {exc}") from exc
+    if re.search(r"\d\s+\d", text):
+        # dropping the spaces would join the digits into another number
+        raise PolynomialParseError(f"digits separated by whitespace in {text!r}")
     src = text.replace("X", "x").replace(" ", "")
     src = src.replace("-", "+-")
     terms = [t for t in src.split("+") if t]
@@ -128,13 +131,15 @@ def cmd_factor(args) -> int:
         print("parse error: factor requires a non-constant polynomial", file=sys.stderr)
         return EXIT_PARSE
     cfg = ToleranceConfig(eps=args.eps)
+    res = factor(p, cfg, backend=args.backend, workers=args.workers)
     if args.dump_roots:
-        # find_roots needs square-free input: each part's roots, mult times
+        # after factor(), which refuses a part too wide to search before any
+        # root finding; find_roots needs square-free input, so each part's
+        # roots are written mult times
         args.dump_roots.write("re,im\n")
         for part, mult in square_free_decompose(p):
             for z in find_roots(part, cfg):
                 args.dump_roots.write(f"{float(z.real)!r},{float(z.imag)!r}\n" * mult)
-    res = factor(p, cfg, backend=args.backend, workers=args.workers)
 
     if args.json:
         print(json.dumps(result_to_json(res)))

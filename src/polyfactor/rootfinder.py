@@ -56,31 +56,31 @@ class ToleranceConfig:
 
 @dataclass(frozen=True)
 class RootProfile:
-    """Classified roots of one square-free polynomial.
+    """Classified roots of one square-free polynomial, one entry per rho bit.
 
-    rho holds the fractional parts of the r real roots and the c conjugate
-    pair sums, sorted non-decreasing; perm[i] names the root behind rho[i]
-    (0..r-1 are real-root ids, r..r+c-1 are pair ids). Pair sums and products
-    are kept so candidate factors can be rebuilt from a bit pattern.
+    Entry i is a real root u, whose piece of a factor is x - u (sums[i] = u,
+    products[i] = 0, degrees[i] = 1), or a conjugate pair z, conj(z), whose
+    piece is x^2 - t*x + m (sums[i] = t = 2 Re z, products[i] = m = |z|^2,
+    degrees[i] = 2). rho[i] == frac(sums[i]), and the entries are sorted by
+    rho, so bit i of a pattern selects entry i's piece.
     """
 
-    real_roots: np.ndarray
-    pair_sums: np.ndarray
-    pair_products: np.ndarray
     rho: np.ndarray
-    perm: tuple[int, ...]
+    sums: np.ndarray
+    products: np.ndarray
+    degrees: np.ndarray
 
     @property
     def r(self) -> int:
-        return len(self.real_roots)
+        return int(np.count_nonzero(self.degrees == 1))
 
     @property
     def c(self) -> int:
-        return len(self.pair_sums)
+        return len(self.degrees) - self.r
 
     @property
     def n(self) -> int:
-        return self.r + self.c
+        return len(self.rho)
 
 
 def to_float(value: int, dtype) -> float:
@@ -228,28 +228,21 @@ def _symmetrize(z: np.ndarray) -> np.ndarray:
 
 
 def build_profile(roots: np.ndarray) -> RootProfile:
-    """Classify a conjugate-closed root multiset and build the sorted rho vector.
+    """Classify a conjugate-closed root multiset into rho entries.
 
-    Real roots contribute frac(u); each conjugate pair contributes
-    frac(z + conj(z)) once. Raises UnpairedComplexRoot when a complex root
-    has no partner within tolerance.
+    Each real root u is an entry with rho frac(u); each conjugate pair is
+    one entry with rho frac(z + conj(z)). Entries are sorted by rho, and
+    equal rho keep the real roots, ascending, before the pairs. Raises
+    UnpairedComplexRoot when a complex root has no partner within tolerance.
     """
     reals, pairs = _pair_conjugates(np.asarray(roots, dtype=np.complex128))
-    sums = [float(2.0 * w.real) for w in pairs]
-    prods = [float(abs(w) ** 2) for w in pairs]
-
-    entries = [(frac(u), i) for i, u in enumerate(reals)]
-    entries += [(frac(s), len(reals) + j) for j, s in enumerate(sums)]
-    entries.sort()
-    rho = np.array([e[0] for e in entries], dtype=np.float64)
-    perm = tuple(e[1] for e in entries)
-    return RootProfile(
-        real_roots=np.asarray(reals, dtype=np.float64),
-        pair_sums=np.asarray(sums, dtype=np.float64),
-        pair_products=np.asarray(prods, dtype=np.float64),
-        rho=rho,
-        perm=perm,
-    )
+    pieces = [(float(u), 0.0, 1) for u in reals]
+    pieces += [(float(2.0 * w.real), float(abs(w) ** 2), 2) for w in pairs]
+    order = sorted(range(len(pieces)), key=lambda i: (frac(pieces[i][0]), i))
+    table = np.array([pieces[i] for i in order], dtype=np.float64).reshape(-1, 3)
+    sums, products, degrees = table.T
+    rho = np.array([frac(t) for t in sums], dtype=np.float64)
+    return RootProfile(rho, sums, products, degrees.astype(np.int64))
 
 
 def profile_polynomial(p: IntPolynomial, cfg: ToleranceConfig | None = None) -> RootProfile:

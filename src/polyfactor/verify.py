@@ -51,61 +51,26 @@ class CandidateFactor:
 
 
 def selected_degree(s: int, profile: RootProfile) -> int:
-    """Factor degree a pattern would produce: one per real root, two per pair."""
-    e = 0
-    i = 0
-    while s:
-        if s & 1:
-            e += 1 if profile.perm[i] < profile.r else 2
-        s >>= 1
-        i += 1
-    return e
+    """Factor degree a pattern would produce: the sum of its entries' degrees."""
+    return sum(int(profile.degrees[i]) for i in range(s.bit_length()) if s >> i & 1)
 
 
 def build_candidate(s: int, profile: RootProfile, lead: int = 1) -> CandidateFactor:
     """Multiply out the selected pieces x - u/a and x^2 - (t/a)*x + m/a^2 of
-    a profile of roots scaled by the lead a, in real arithmetic, and scale
-    by a: a true factor g with lead b gives the integral (a/b)*g."""
+    a profile of roots scaled by the lead a, in real arithmetic and in bit
+    order, and scale by a: a true factor g with lead b gives the integral
+    (a/b)*g."""
     ld = np.longdouble
     a = to_float(lead, ld)
     coeffs = np.array([1.0], dtype=ld)
-    reals: list = []
-    pairs: list[tuple] = []
-    i = 0
-    t = s
-    while t:
-        if t & 1:
-            ent = profile.perm[i]
-            if ent < profile.r:
-                reals.append(ld(profile.real_roots[ent]) / a)
-            else:
-                j = ent - profile.r
-                pairs.append((ld(profile.pair_sums[j]) / a, ld(profile.pair_products[j]) / a**2))
-        t >>= 1
-        i += 1
-
     mags = np.array([1.0], dtype=ld)
-    for u in reals:
-        ext = np.zeros(len(coeffs) + 1, dtype=ld)
-        ext[1:] += coeffs
-        ext[:-1] -= u * coeffs
-        coeffs = ext
-        ext = np.zeros(len(mags) + 1, dtype=ld)
-        ext[1:] += mags
-        ext[:-1] += abs(u) * mags
-        mags = ext
-    for psum, pprod in pairs:
-        ext = np.zeros(len(coeffs) + 2, dtype=ld)
-        ext[2:] += coeffs
-        ext[1:-1] -= psum * coeffs
-        ext[:-2] += pprod * coeffs
-        coeffs = ext
-        ext = np.zeros(len(mags) + 2, dtype=ld)
-        ext[2:] += mags
-        ext[1:-1] += abs(psum) * mags
-        ext[:-2] += pprod * mags
-        mags = ext
-
+    for i in range(s.bit_length()):
+        if s >> i & 1:
+            t, m = ld(profile.sums[i]) / a, ld(profile.products[i]) / a**2
+            # x - t for a real root, x^2 - t*x + m for a pair
+            piece = np.array([m, -t, 1.0], dtype=ld)[2 - profile.degrees[i] :]
+            coeffs = np.convolve(coeffs, piece)
+            mags = np.convolve(mags, np.abs(piece))
     return CandidateFactor(s, a * coeffs, abs(a) * mags, lead)
 
 
@@ -157,76 +122,62 @@ def round_and_divide(
     return None if rest is None else (q, rest)
 
 
-def _trace_tables(profile: RootProfile, e_max: int) -> tuple[list[int], np.ndarray, np.ndarray]:
+def _trace_tables(profile: RootProfile, e_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-entry power sums and their scales for orders m = 1..e_max.
 
-    Returns the bit indices in summation order (real roots, then pairs,
-    each by bit index) and two long-double tables with one row per index in
-    that order: for a real root u, u^m and |u|^m; for a pair x^2 - t*x + m',
-    the recurrence p_k = t*p_{k-1} - m'*p_{k-2} from p_0 = 2, and
-    2*sqrt(m')^k. Each row is a running product, so its entries are the
-    same whichever e_max it is computed to."""
+    Two long-double tables with one row per bit. Entry i, with sums t,
+    products m' and degree e_i, has the power sums p_k = t*p_{k-1} -
+    m'*p_{k-2} from p_0 = e_i: u^k for a real root u (m' = 0), and
+    z^k + conj(z)^k for a pair. Its scales are e_i * |z|^k, with |z| = |u|
+    for a real root and sqrt(m') for a pair. Each row is a running product,
+    so its entries are the same whichever e_max it is computed to."""
     ld = np.longdouble
-    r, perm = profile.r, profile.perm
-    real_bits = [i for i, ent in enumerate(perm) if ent < r]
-    pair_bits = [i for i, ent in enumerate(perm) if ent >= r]
-    reals = np.array([profile.real_roots[perm[i]] for i in real_bits], dtype=ld)
-    psum = np.array([profile.pair_sums[perm[i] - r] for i in pair_bits], dtype=ld)
-    pprod = np.array([profile.pair_products[perm[i] - r] for i in pair_bits], dtype=ld)
-
-    powers = np.cumprod(np.repeat(reals[:, None], e_max, axis=1), axis=1)
-    mags = np.cumprod(np.repeat(np.abs(reals)[:, None], e_max, axis=1), axis=1)
-    pair_powers = np.empty((len(psum), e_max), dtype=ld)
-    prev, cur = np.full(len(psum), ld(2.0)), psum
-    for m in range(e_max):
-        pair_powers[:, m] = cur
-        prev, cur = cur, psum * cur - pprod * prev
-    steps = np.repeat(np.sqrt(pprod)[:, None], e_max, axis=1)
-    steps[:, :1] *= ld(2.0)
-    pair_mags = np.cumprod(steps, axis=1)
-    return (
-        real_bits + pair_bits,
-        np.concatenate([powers, pair_powers]),
-        np.concatenate([mags, pair_mags]),
-    )
+    t, m, deg = (np.asarray(v, dtype=ld) for v in (profile.sums, profile.products, profile.degrees))
+    powers = np.empty((profile.n, e_max), dtype=ld)
+    prev, cur = deg, t
+    for k in range(e_max):
+        powers[:, k] = cur
+        prev, cur = cur, t * cur - m * prev
+    steps = np.repeat(np.where(deg == 1, np.abs(t), np.sqrt(m))[:, None], e_max, axis=1)
+    steps[:, 0] *= deg
+    return powers, np.cumprod(steps, axis=1)
 
 
 def screen_candidates(patterns, profile: RootProfile, eps: float):
     """Yield (pattern, degree, passed) for every pattern, in (degree,
     pattern) order, where degree is selected_degree(s) and passed is
     trace_test's verdict on the pattern's traces and scales, each summed
-    over the selected rows of _trace_tables in their order.
+    over the rows of _trace_tables that its set bits select, in bit order.
 
-    Each chunk is screened in two stages, both products of its bit matrix
-    with the tables of _trace_tables. Stage 1 takes the order-2 column of
-    the scale and power-sum tables alone and drops the rows of degree 2 or
-    more whose order-2 trace lies past its _budget; that order settles
-    almost every spurious pattern, since order 1 is what recombination
-    already tested. Stage 2 gives the rows stage 1 kept the scales of every
-    order, then the traces of the orders where some row's budget is below
-    1/2 (no other order can reject a row), and rejects a row with a trace
-    past its budget at an order up to its degree. Every product sums in
-    _trace_tables' row order. Chunks are screened lazily, so a caller that
-    stops at some degree never screens the chunks after it."""
+    Each chunk is screened in two stages, both products of its one bit
+    matrix (the same bits that give the degrees) with the tables of
+    _trace_tables. Stage 1 takes the order-2 column of the scale and
+    power-sum tables alone and drops the rows of degree 2 or more whose
+    order-2 trace lies past its _budget; that order settles almost every
+    spurious pattern, since order 1 is what recombination already tested.
+    Stage 2 gives the rows stage 1 kept the scales of every order, then the
+    traces of the orders where some row's budget is below 1/2 (no other
+    order can reject a row), and rejects a row with a trace past its budget
+    at an order up to its degree. Chunks are screened lazily, so a caller
+    that stops at some degree never screens the chunks after it."""
     pats = np.fromiter(patterns, dtype=np.uint64, count=len(patterns))
     if not len(pats):
         return
     chunks = range(0, len(pats), _SCREEN_CHUNK)
     shifts = np.arange(profile.n, dtype=np.uint64)
-    weight = np.array([1 if ent < profile.r else 2 for ent in profile.perm], dtype=np.uint64)
+    weight = profile.degrees.astype(np.uint64)
     degrees = np.concatenate(
         [((pats[i : i + _SCREEN_CHUNK, None] >> shifts) & 1) @ weight for i in chunks]
     )
     order = np.lexsort((pats, degrees))
     pats, degrees = pats[order], degrees[order]
 
-    cols, powers, mags = _trace_tables(profile, int(degrees[-1]))
-    col_shifts = np.array(cols, dtype=np.uint64)
+    powers, mags = _trace_tables(profile, int(degrees[-1]))
     for start in chunks:
         stop = min(start + _SCREEN_CHUNK, len(pats))
         e = int(degrees[stop - 1])
         deg = degrees[start:stop]
-        sel = ((pats[start:stop, None] >> col_shifts) & 1).astype(np.longdouble)
+        sel = ((pats[start:stop, None] >> shifts) & 1).astype(np.longdouble)
         passed = np.ones(len(deg), dtype=bool)
         if e >= 2:
             # stage 1: the order-2 trace alone settles most spurious rows

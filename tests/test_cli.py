@@ -35,7 +35,11 @@ def test_parse_symbolic():
 def test_parse_errors():
     from polyfactor.errors import PolynomialParseError
 
-    for bad in ("", "1 2 fish", "x^", "y^2", "++", "2**x", "2*-x", "x+3*"):
+    # the last three must not be read with their digits joined, as x^2 - 10,
+    # x^10 and 12x
+    for bad in (
+        "", "1 2 fish", "x^", "y^2", "++", "2**x", "2*-x", "x+3*", "x^2 - 1 0", "x^1 0", "1 2 x"
+    ):
         with pytest.raises(PolynomialParseError):
             parse_polynomial(bad)
 
@@ -208,6 +212,21 @@ def test_factor_dump_roots(tmp_path, capsys):
     assert rc == EXIT_OK
     rows = path.read_text().strip().splitlines()[1:]
     assert sorted(float(row.split(",")[0]) for row in rows) == [-2.0] + [1.0] * 10
+
+
+def test_factor_dump_roots_after_the_width_refusal(tmp_path, monkeypatch, capsys):
+    # x^200 + 1 is refused by its degree before root finding, and the dump
+    # must not run root finding on it first
+    from polyfactor import cli
+
+    def fail(*args, **kwargs):
+        raise AssertionError("find_roots ran on a part no backend can search")
+
+    monkeypatch.setattr(cli, "find_roots", fail)
+    rc = main(["factor", "x^200+1", "--dump-roots", str(tmp_path / "roots.csv")])
+    assert rc == EXIT_WIDTH
+    err = capsys.readouterr().err
+    assert err.startswith("width error: ") and len(err.splitlines()) == 1
 
 
 def test_gen_swinnerton(capsys):

@@ -159,14 +159,15 @@ def test_profile_mixed_real_and_pairs():
     assert prof.r == 2 and prof.c == 1
     assert prof.r + 2 * prof.c == p.degree
     assert sorted(prof.rho.tolist()) == pytest.approx([0.0, 0.41421356, 0.58578644], abs=1e-8)
-    assert sorted(prof.perm) == [0, 1, 2]
+    assert sorted(prof.degrees.tolist()) == [1, 1, 2]
 
 
 def test_profile_pair_sum_two():
     # x^2 - 2x + 2 has roots 1 +- i; pair sum 2 -> frac 0
     prof = profile_polynomial(P([2, -2, 1]), CFG)
     assert prof.r == 0 and prof.c == 1
-    assert prof.pair_sums.tolist() == pytest.approx([2.0], abs=1e-12)
+    assert prof.sums.tolist() == pytest.approx([2.0], abs=1e-12)
+    assert prof.degrees.tolist() == [2]
     assert prof.rho.tolist() == pytest.approx([0.0], abs=1e-12)
 
 
@@ -175,18 +176,17 @@ def test_profile_negative_pair_sum():
     roots = np.array([-0.125 + 0.8j, -0.125 - 0.8j])
     prof = build_profile(roots)
     assert prof.rho.tolist() == pytest.approx([0.75], abs=1e-12)
-    assert prof.pair_products.tolist() == pytest.approx([0.125**2 + 0.64], abs=1e-12)
+    assert prof.products.tolist() == pytest.approx([0.125**2 + 0.64], abs=1e-12)
 
 
 def test_profile_of_inexact_conjugates():
     # a pair 1e-10 off conjugacy is averaged to 1 + 2.00000000005i; a real
     # root with a 1e-12 imaginary part counts as real
     prof = build_profile(np.array([1 + 2j, 1 - 2.0000000001j, 3, -1.5 + 1e-12j]))
-    assert prof.real_roots.tolist() == [-1.5, 3.0]
-    assert prof.pair_sums.tolist() == [2.0]
-    assert prof.pair_products.tolist() == [float.fromhex("0x1.4000000036f9bp+2")]
+    assert prof.sums.tolist() == [3.0, 2.0, -1.5]
+    assert prof.products.tolist() == [0.0, float.fromhex("0x1.4000000036f9bp+2"), 0.0]
+    assert prof.degrees.tolist() == [1, 2, 1]
     assert prof.rho.tolist() == [0.0, 0.0, 0.5]
-    assert prof.perm == (1, 2, 0)
 
 
 def test_profile_unpaired_root_raises():
@@ -212,11 +212,9 @@ def test_rho_sum_matches_trace(monkeypatch=None):
 def test_perm_recovers_entities():
     p = P([-2, 0, -1, 0, 1])
     prof = profile_polynomial(p, CFG)
-    for i, ent in enumerate(prof.perm):
-        if ent < prof.r:
-            assert frac(float(prof.real_roots[ent])) == pytest.approx(float(prof.rho[i]))
-        else:
-            assert frac(float(prof.pair_sums[ent - prof.r])) == pytest.approx(float(prof.rho[i]))
+    assert prof.degrees.tolist().count(1) == prof.r == 2
+    for i in range(prof.n):
+        assert frac(float(prof.sums[i])) == prof.rho[i]
 
 
 def test_expected_real_roots_values():

@@ -16,7 +16,14 @@ from polyfactor.polynomial import (
     multiply,
 )
 from polyfactor.recombine import BACKENDS, RhoVector, recombine_e
-from polyfactor.rootfinder import INT_LIMIT, ToleranceConfig, profile_polynomial
+from polyfactor.rootfinder import (
+    INT_LIMIT,
+    ToleranceConfig,
+    build_profile,
+    find_roots,
+    frac,
+    profile_polynomial,
+)
 from polyfactor.verify import (
     CandidateFactor,
     build_candidate,
@@ -36,13 +43,9 @@ SQRT6 = math.sqrt(6.0)
 def pattern_for(profile, want_reals=(), want_pairs=()):
     """Bit pattern selecting specific real roots / pair sums by value."""
     s = 0
-    for i, ent in enumerate(profile.perm):
-        if ent < profile.r:
-            if any(abs(profile.real_roots[ent] - w) < 1e-6 for w in want_reals):
-                s |= 1 << i
-        else:
-            if any(abs(profile.pair_sums[ent - profile.r] - w) < 1e-6 for w in want_pairs):
-                s |= 1 << i
+    for i, (t, deg) in enumerate(zip(profile.sums, profile.degrees)):
+        if any(abs(t - w) < 1e-6 for w in (want_reals if deg == 1 else want_pairs)):
+            s |= 1 << i
     return s
 
 
@@ -72,41 +75,33 @@ def test_build_candidate_two_reals():
 
 def reference_traces(s, profile):
     """A pattern's traces and trace scales the scalar way: one power per
-    selected root, summed order by order, reals then pairs."""
+    selected root (u^m, |u|^m) or pair (z^m + conj(z)^m, 2|z|^m), summed
+    order by order in bit order."""
     ld = np.longdouble
-    reals, pairs = [], []
-    for i, ent in enumerate(profile.perm):
-        if s >> i & 1:
-            if ent < profile.r:
-                reals.append(ld(profile.real_roots[ent]))
-            else:
-                j = ent - profile.r
-                pairs.append((ld(profile.pair_sums[j]), ld(profile.pair_products[j])))
-    e = len(reals) + 2 * len(pairs)
+    bits = [i for i in range(profile.n) if s >> i & 1]
+    e = sum(int(profile.degrees[i]) for i in bits)
     traces = np.zeros(e, dtype=ld)
     scales = np.zeros(e, dtype=ld)
-    upow = list(reals)
-    uabs = [abs(u) for u in reals]
-    pstate = [(ld(2.0), psum) for psum, _ in pairs]
-    pmag = [ld(2.0) * np.sqrt(pprod) for _, pprod in pairs]
+    # per selected entry: [order-m power sum, order m-1 power sum, order-m scale]
+    state = {}
+    for i in bits:
+        t, prod = ld(profile.sums[i]), ld(profile.products[i])
+        state[i] = [t, None, abs(t)] if profile.degrees[i] == 1 else [t, ld(2.0), 2 * np.sqrt(prod)]
     for m in range(1, e + 1):
         tr = ld(0.0)
         sc = ld(0.0)
-        for idx in range(len(reals)):
-            tr += upow[idx]
-            sc += uabs[idx]
-        for idx in range(len(pairs)):
-            tr += pstate[idx][1]
-            sc += pmag[idx]
+        for i in bits:
+            tr += state[i][0]
+            sc += state[i][2]
         traces[m - 1] = tr
         scales[m - 1] = sc
-        for idx in range(len(reals)):
-            upow[idx] *= reals[idx]
-            uabs[idx] *= abs(reals[idx])
-        for idx, (psum, pprod) in enumerate(pairs):
-            prev, cur = pstate[idx]
-            pstate[idx] = (cur, psum * cur - pprod * prev)
-            pmag[idx] *= np.sqrt(pprod)
+        for i in bits:
+            t, prod = ld(profile.sums[i]), ld(profile.products[i])
+            cur, prev, mag = state[i]
+            if profile.degrees[i] == 1:
+                state[i] = [cur * t, None, mag * abs(t)]
+            else:
+                state[i] = [t * cur - prod * prev, cur, mag * np.sqrt(prod)]
     return traces, scales
 
 
@@ -130,22 +125,44 @@ CLUSTERED_FACTORS = [
 )
 def test_trace_tables_match_scalar_reference(p):
     # the screen's tables, their selected rows summed one at a time in
-    # table order, give the scalar reference bit for bit
+    # bit order, give the scalar reference bit for bit
     prof = profile_polynomial(p, CFG)
     patterns = recombine_e(RhoVector.from_profile(prof), CFG.eps).nontrivial()
     assert len(patterns) > 50
-    cols, powers, mags = verify._trace_tables(prof, p.degree)
+    powers, mags = verify._trace_tables(prof, p.degree)
     for s in patterns:
         e = selected_degree(s, prof)
         traces = np.zeros(e, dtype=np.longdouble)
         scales = np.zeros(e, dtype=np.longdouble)
-        for k, i in enumerate(cols):
+        for i in range(prof.n):
             if s >> i & 1:
-                traces += powers[k, :e]
-                scales += mags[k, :e]
+                traces += powers[i, :e]
+                scales += mags[i, :e]
         want_traces, want_scales = reference_traces(s, prof)
         assert np.array_equal(traces, want_traces)
         assert np.array_equal(scales, want_scales)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        gen_swinnerton_dyer(3),
+        gen_swinnerton_dyer(4),
+        P([-1] + [0] * 23 + [1]),
+        functools.reduce(multiply, map(P, CLUSTERED_FACTORS)),
+        multiply(*gen_random_reducible_parts(40, 100, 3)),
+        P([1, 3, 2]) * P([-5, 0, 7]) * P([3, -1, 0, 12]),
+    ],
+    ids=["sd-f3", "sd-f4", "x24-1", "clustered-d30", "halves-d40", "non-monic-d7"],
+)
+def test_full_pattern_rebuilds_the_part(p):
+    # every entry's rho is its own piece's frac, and the pattern of all bits
+    # rebuilds p from the roots scaled by its lead, as factor() scales them
+    prof = build_profile(find_roots(p, CFG) * p.leading)
+    assert all(prof.rho[i] == frac(prof.sums[i]) for i in range(prof.n))
+    full = (1 << prof.n) - 1
+    assert selected_degree(full, prof) == p.degree
+    assert round_and_divide(build_candidate(full, prof, p.leading), p, 1e-6) == (p, P([1]))
 
 
 def test_swinnerton_dyer_dual_pair_candidate():
@@ -168,8 +185,6 @@ def test_trace_test_rejects_fractional_root():
     prof = profile_polynomial(P([-1, 0, 4]), CFG)  # 4x^2 - 1 -> roots +-1/2
     # primitive part is not monic; build from the profile of (2x-1)(2x+1)/..
     # simpler: craft a one-real-root profile directly
-    from polyfactor.rootfinder import build_profile
-
     prof = build_profile(np.array([0.5 + 0j]))
     traces, scales = reference_traces(0b1, prof)
     assert float(traces[0]) == pytest.approx(0.5)
