@@ -26,16 +26,15 @@ import numpy as np
 from .errors import WidthExceeded
 from .rootfinder import GUARD, RootProfile
 
-WIDTH_LIMIT = 64  # pattern bits; every backend caps n here or below
-_A_WIDTH_LIMIT = 30
 _A_CHUNK_BITS = 20
-_B_WIDTH_LIMIT = 30
 _B_CHUNK = 1 << 16  # block-tree nodes per numpy pass of backend b
-_FILTER_ROWS = 1 << 12  # patterns per bit matrix in the canonical filter (n * 32 KB of floats)
 _WINDOW_PAD = 1e-13  # window widening that covers the rounding of the -1/+1 copies
 # (target, value) pairs one window query may gather, about 2^n * 2 eps;
 # checked before the pair arrays (tens of bytes per pair) are allocated
 _PAIR_LIMIT = 1 << 24
+# the widest n each backend searches: a and b scan 2^(n-1) patterns, and
+# c, d and e refuse a half of more than _PAIR_LIMIT sums (see _meet)
+WIDTHS = {"a": 30, "b": 30, **dict.fromkeys("cde", 2 * (_PAIR_LIMIT.bit_length() - 1))}
 
 
 @dataclass(frozen=True)
@@ -74,8 +73,9 @@ class CandidateSet:
     n: int
 
     def nontrivial(self) -> frozenset[int]:
-        full = (1 << self.n) - 1
-        return frozenset(s for s in self.patterns if s not in (0, full))
+        """The patterns but 0 (min(s, ~s) maps the full pattern to 0); not
+        patterns - {0}, whose copy doubles the table: 32 MB for x^60 - 1."""
+        return frozenset(filter(None, self.patterns))
 
     def __len__(self) -> int:
         return len(self.patterns)
@@ -142,23 +142,21 @@ def _canonical_filter(found: np.ndarray, rho: RhoVector, eps: float) -> frozense
     passes the canonical accept test. This is what pins backends b..e to
     backend a's exact output.
 
-    Each value adds the selected entries in ascending index order with an
-    exact 0.0 for every unselected one, so it is bitwise value()'s."""
+    Its sums are value()'s loop run over all patterns at once, so bitwise
+    value()'s (a matmul would add the entries in another order)."""
     s = found.astype(np.uint64)
     if not len(s):
         return frozenset()
-    n = len(rho)
-    s = np.minimum(s, s ^ np.uint64((1 << n) - 1))
+    s = np.minimum(s, s ^ np.uint64((1 << len(rho)) - 1))
     s.sort()
     s = s[np.concatenate(([True], s[1:] != s[:-1]))]
-    shifts = np.arange(n, dtype=np.uint64)
-    keep = np.empty(len(s), dtype=bool)
-    for lo in range(0, len(s), _FILTER_ROWS):
-        bits = ((s[lo : lo + _FILTER_ROWS, None] >> shifts) & 1) != 0
-        x = np.cumsum(np.where(bits, rho.values, 0.0), axis=1)[:, -1]
-        y = x - np.floor(x)
-        keep[lo : lo + len(y)] = (y < eps) | (1.0 - y < eps)
-    return frozenset(s[keep].tolist())
+    x = 0.0
+    for i, v in enumerate(rho.values):
+        x += np.where(s & np.uint64(1 << i), v, 0.0)
+    x -= np.floor(x)
+    s = s[(x < eps) | (1.0 - x < eps)]
+    del x  # 8 MB per 2^20 finds, freed before the set's Python ints are made
+    return frozenset(s.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +166,8 @@ def _canonical_filter(found: np.ndarray, rho: RhoVector, eps: float) -> frozense
 def recombine_a(rho: RhoVector, eps: float, stats: RecombineStats | None = None) -> CandidateSet:
     """Reference scan of every pattern s < 2^(n-1); the oracle for the rest."""
     n = len(rho)
-    if n > _A_WIDTH_LIMIT:
-        raise WidthExceeded(f"backend a handles n <= {_A_WIDTH_LIMIT}, got {n}")
+    if n > WIDTHS["a"]:
+        raise WidthExceeded(f"backend a handles n <= {WIDTHS['a']}, got {n}")
     if n == 0:
         return CandidateSet(frozenset(), 0)
     bits = n - 1  # bit n-1 is never set below 2^(n-1)
@@ -216,8 +214,8 @@ def recombine_b(rho: RhoVector, eps: float, stats: RecombineStats | None = None)
     instance a true factor reads 1 - 9e-16 in the tree and 9e-15 in such a
     scan, and the tree has 34,894 leaves against the scan's 34,892."""
     n = len(rho)
-    if n > _B_WIDTH_LIMIT:
-        raise WidthExceeded(f"backend b handles n <= {_B_WIDTH_LIMIT}, got {n}")
+    if n > WIDTHS["b"]:
+        raise WidthExceeded(f"backend b handles n <= {WIDTHS['b']}, got {n}")
     if not rho.is_sorted:
         raise ValueError("backend b requires rho sorted non-decreasing")
     if n == 0:
@@ -449,17 +447,17 @@ def _window_pairs(ts: np.ndarray, vs: np.ndarray, eps: float) -> tuple[np.ndarra
     wider window from vs, padded by copies of its ends shifted by -1 and +1
     so that windows wrap around 0/1; the exact test then runs on each pair.
     Windows are narrow and most hold no value, so the upper bound is only
-    searched where the first value at or above the lower one lies inside.
+    searched at the hits, where the first value at or above the lower one
+    lies inside; past them every array has one entry per hit or per pair.
     Raises WidthExceeded when the pair volume exceeds _PAIR_LIMIT."""
     w = eps + _WINDOW_PAD
     head = int(np.searchsorted(vs, w))
     tail = int(np.searchsorted(vs, 1.0 - w))
     ext = np.concatenate((vs[tail:] - 1.0, vs, vs[:head] + 1.0))
     lo = np.searchsorted(ext, ts - w)
-    upper = ts + w
-    hit = np.flatnonzero(ext[np.minimum(lo, len(ext) - 1)] <= upper)
-    counts = np.zeros(len(ts), dtype=np.int64)
-    counts[hit] = np.searchsorted(ext, upper[hit], side="right") - lo[hit]
+    hit = np.flatnonzero(ext[np.minimum(lo, len(ext) - 1)] <= ts + w)
+    lo = lo[hit]
+    counts = np.searchsorted(ext, ts[hit] + w, side="right") - lo
     volume = int(counts.sum())
     if volume > _PAIR_LIMIT:
         n = (len(ts) * len(vs)).bit_length() - 1
@@ -467,7 +465,7 @@ def _window_pairs(ts: np.ndarray, vs: np.ndarray, eps: float) -> tuple[np.ndarra
             f"candidate volume of {volume:,} pairs exceeds {_PAIR_LIMIT:,} "
             f"(n = {n}, eps = {eps:.3g})"
         )
-    qi = np.repeat(np.arange(len(ts)), counts)
+    qi = np.repeat(hit, counts)
     pos = np.arange(len(qi)) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
     vj = (pos - (len(vs) - tail)) % len(vs)
     delta = np.mod(vs[vj] - ts[qi], 1.0)
@@ -504,8 +502,6 @@ def _meet(rho: RhoVector, eps: float, stats: RecombineStats | None, table) -> Ca
     query's own budget, are refused before any sum is formed."""
     n = len(rho)
     half_limit = _PAIR_LIMIT.bit_length() - 1
-    if n > WIDTH_LIMIT:
-        raise WidthExceeded(f"pattern width is capped at {WIDTH_LIMIT} bits, got {n}")
     if n - n // 2 > half_limit:
         raise WidthExceeded(f"half width {n - n // 2} exceeds backend limit {half_limit}")
     if n < 2:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import NonConvergence, WidthExceeded
 from .polynomial import IntPolynomial, divide_exact, square_free_decompose
-from .recombine import BACKENDS, WIDTH_LIMIT, RecombineStats, RhoVector
+from .recombine import BACKENDS, WIDTHS, RecombineStats, RhoVector
 from .rootfinder import INT_LIMIT, RootProfile, ToleranceConfig, build_profile, find_roots, to_float
 
 # per-root relative error budget: a value summing products of m roots,
@@ -143,6 +143,12 @@ def _trace_tables(profile: RootProfile, e_max: int) -> tuple[np.ndarray, np.ndar
     return powers, np.cumprod(steps, axis=1)
 
 
+def _pattern_bits(pats: np.ndarray, n: int) -> np.ndarray:
+    """(len(pats), n) uint8 matrix of bits s >> i & 1 of the uint64 patterns."""
+    raw = np.ascontiguousarray(pats, dtype="<u8").view(np.uint8).reshape(-1, 8)
+    return np.unpackbits(raw, axis=1, count=n, bitorder="little")
+
+
 def screen_candidates(patterns, profile: RootProfile, eps: float):
     """Yield (pattern, degree, passed) for every pattern, in (degree,
     pattern) order, where degree is selected_degree(s) and passed is
@@ -150,7 +156,7 @@ def screen_candidates(patterns, profile: RootProfile, eps: float):
     over the rows of _trace_tables that its set bits select, in bit order.
 
     Each chunk is screened in two stages, both products of its one bit
-    matrix (the same bits that give the degrees) with the tables of
+    matrix (_pattern_bits, which also gives the degrees) with the tables of
     _trace_tables. Stage 1 takes the order-2 column of the scale and
     power-sum tables alone and drops the rows of degree 2 or more whose
     order-2 trace lies past its _budget; that order settles almost every
@@ -164,10 +170,9 @@ def screen_candidates(patterns, profile: RootProfile, eps: float):
     if not len(pats):
         return
     chunks = range(0, len(pats), _SCREEN_CHUNK)
-    shifts = np.arange(profile.n, dtype=np.uint64)
-    weight = profile.degrees.astype(np.uint64)
+    n, weight = profile.n, profile.degrees.astype(np.uint64)
     degrees = np.concatenate(
-        [((pats[i : i + _SCREEN_CHUNK, None] >> shifts) & 1) @ weight for i in chunks]
+        [_pattern_bits(pats[i : i + _SCREEN_CHUNK], n) @ weight for i in chunks]
     )
     order = np.lexsort((pats, degrees))
     pats, degrees = pats[order], degrees[order]
@@ -177,7 +182,7 @@ def screen_candidates(patterns, profile: RootProfile, eps: float):
         stop = min(start + _SCREEN_CHUNK, len(pats))
         e = int(degrees[stop - 1])
         deg = degrees[start:stop]
-        sel = ((pats[start:stop, None] >> shifts) & 1).astype(np.longdouble)
+        sel = _pattern_bits(pats[start:stop], n).astype(np.longdouble)
         passed = np.ones(len(deg), dtype=bool)
         if e >= 2:
             # stage 1: the order-2 trace alone settles most spurious rows
@@ -304,12 +309,12 @@ def _factor_squarefree(
     n - 1: every factor except the one owning that root is a candidate, and
     that one is the remainder. A candidate of the remainder's degree or more
     cannot be a proper factor of it, which ends the walk. Degree d gives
-    n >= ceil(d/2), so a part past WIDTH_LIMIT is refused before root finding."""
+    n >= ceil(d/2), so a part past WIDTHS[backend] is refused before root finding."""
     if p.degree <= 1:
         return [p]
-    if (n := (p.degree + 1) // 2) > WIDTH_LIMIT:
+    if (n := (p.degree + 1) // 2) > WIDTHS[backend]:
         raise WidthExceeded(
-            f"pattern width is capped at {WIDTH_LIMIT} bits, degree {p.degree} needs {n}"
+            f"pattern width is capped at {WIDTHS[backend]} bits, degree {p.degree} needs {n}"
         )
 
     t0 = time.perf_counter()

@@ -141,7 +141,7 @@ def test_factor_width_exit_code_any_worker_count(workers, capsys):
     text = " ".join(str(rng.randint(-3, 3)) for _ in range(131)) + " 1"
     assert main(["factor", text, "--workers", workers]) == EXIT_WIDTH
     err = capsys.readouterr().err
-    assert "width error: pattern width is capped at 64 bits, degree 131 needs 66" in err
+    assert "width error: pattern width is capped at 48 bits, degree 131 needs 66" in err
     assert "Traceback" not in err
 
 

@@ -80,6 +80,47 @@ def test_subset_sums_matches_value():
         assert sums[s] == value(s, rho)
 
 
+def _descending_value(s, vals):
+    """value(s) with the selected entries added in descending bit order."""
+    x = 0.0
+    for i in reversed(range(len(vals))):
+        if s >> i & 1:
+            x += vals[i]
+    return x - math.floor(x)
+
+
+@pytest.mark.parametrize("ascending_inside", [True, False])
+@pytest.mark.parametrize("band", ["low", "high"])
+def test_canonical_filter_follows_value_at_the_band_edges(band, ascending_inside):
+    # plant a pattern s of 5 entries summing to about 1 + 1e-6 (band "low")
+    # or 2 - 1e-6 ("high"), whose ascending sum and descending sum round to
+    # different distances from the integer; eps is set to the larger one,
+    # so the two orders of summation fall on opposite sides of the band
+    n, k = 10, 5
+    s = (1 << k) - 1
+    for seed in range(1000):
+        rng = random.Random(seed)
+        vals = [rng.uniform(0.0, 0.3) for _ in range(n)]
+        if band == "high":
+            vals[: k - 1] = [rng.uniform(0.3, 0.5) for _ in range(k - 1)]
+        vals[k - 1] = (1.0 + 1e-6 if band == "low" else 2.0 - 1e-6) - sum(vals[: k - 1])
+        if not 0.0 <= vals[k - 1] < 1.0:
+            continue
+        rho = rv(vals)
+        ys = value(s, rho), _descending_value(s, vals)
+        # each order's distance from the integer of its band
+        d_asc, d_desc = ys if band == "low" else (1.0 - ys[0], 1.0 - ys[1])
+        if d_asc != d_desc and (d_asc < d_desc) == ascending_inside:
+            break
+    else:
+        pytest.fail("no planted rho found")
+    eps = max(d_asc, d_desc)
+    assert accept(ys[0], eps) == ascending_inside != accept(ys[1], eps)
+    want = {t for t in range(1 << (n - 1)) if accept(value(t, rho), eps)}
+    assert (s in want) == ascending_inside
+    assert recombine._canonical_filter(np.arange(1 << n), rho, eps) == want
+
+
 # --- backend a --------------------------------------------------------------
 
 

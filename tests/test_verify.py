@@ -269,6 +269,22 @@ def test_factor_non_monic_product_splits_fully():
 NEAR_INTEGER_ROOT = P([-1, 0, 0, 0, -100, 1])
 
 
+@pytest.mark.parametrize("n", [1, 31, 32, 33, 63, 64])
+def test_pattern_bits_match_the_scalar_decode(n):
+    rng = random.Random(n)
+    pats = [0, 1 << 63, (1 << 64) - 1] + [rng.getrandbits(64) for _ in range(40)]
+    arr = np.array(pats, dtype=np.uint64)
+
+    def decode(ss):
+        rows = [[s >> i & 1 for i in range(n)] for s in ss]
+        return np.array(rows, dtype=np.uint8).reshape(-1, n)
+
+    np.testing.assert_array_equal(verify._pattern_bits(arr, n), decode(pats))
+    np.testing.assert_array_equal(verify._pattern_bits(arr[1::3], n), decode(pats[1::3]))
+    np.testing.assert_array_equal(verify._pattern_bits(arr.astype(">u8"), n), decode(pats))
+    assert verify._pattern_bits(arr[:0], n).shape == (0, n)
+
+
 @pytest.mark.parametrize(
     "kind,size,eps",
     [
@@ -642,6 +658,26 @@ def test_factor_refuses_a_part_too_wide_before_root_finding(monkeypatch):
     monkeypatch.setattr(verify, "find_roots", fail)
     with pytest.raises(WidthExceeded, match="degree 200 needs 100"):
         factor(P([1] + [0] * 199 + [1]))
+
+
+@pytest.mark.parametrize(
+    "degree, backend, message",
+    [
+        (100, "e", "capped at 48 bits, degree 100 needs 50"),
+        (62, "a", "capped at 30 bits, degree 62 needs 31"),
+    ],
+    ids=["x^100+1-e", "x^62+1-a"],
+)
+def test_factor_refuses_past_the_backends_own_width(degree, backend, message, monkeypatch):
+    # x^d + 1 has d/2 conjugate pairs and no real root: n = d/2 is past the
+    # selected backend's width (48 for the table backends, 30 for a and b),
+    # so it is refused before root finding
+    def fail(*args, **kwargs):
+        raise AssertionError("find_roots ran on a part the backend cannot search")
+
+    monkeypatch.setattr(verify, "find_roots", fail)
+    with pytest.raises(WidthExceeded, match=message):
+        factor(P([1] + [0] * (degree - 1) + [1]), backend=backend)
 
 
 def test_backend_independence():
