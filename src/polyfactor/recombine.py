@@ -6,8 +6,10 @@ fractional parts sum to within eps of an integer:
   a  exhaustive scan of half the pattern space (the reference oracle)
   b  the same scan with provably-sound jumps over barren pattern runs,
      run as a pruned tree of aligned pattern blocks
-  c  meet in the middle: sort the high half's subset sums into a table and
-     window-query it with the complements of the low half's sums
+  c  meet in the middle over a's half space: sort the high half's subset
+     sums into a table and window-query it with the complements of the low
+     half's sums; bit n-1, which one of every pattern and its complement
+     sets, belongs to neither half
   d  c with the high half's table laid out by splat, then compacted
   e  c with the high half sorted by one unstable argsort, the cheapest table
 
@@ -29,11 +31,13 @@ from .rootfinder import GUARD, RootProfile
 _A_CHUNK_BITS = 20
 _B_CHUNK = 1 << 16  # block-tree nodes per numpy pass of backend b
 _WINDOW_PAD = 1e-13  # window widening that covers the rounding of the -1/+1 copies
-# (target, value) pairs one window query may gather, about 2^n * 2 eps;
-# checked before the pair arrays (tens of bytes per pair) are allocated
+# (target, value) pairs one window query may gather, about 2^n * eps over
+# the 2^(n-1) patterns below bit n-1; checked before the pair arrays (tens
+# of bytes per pair) are allocated
 _PAIR_LIMIT = 1 << 24
 # the widest n each backend searches: a and b scan 2^(n-1) patterns, and
-# c, d and e refuse a half of more than _PAIR_LIMIT sums (see _meet)
+# c, d and e, which meet over the same 2^(n-1), refuse n past twice the
+# bits of _PAIR_LIMIT (see _meet)
 WIDTHS = {"a": 30, "b": 30, **dict.fromkeys("cde", 2 * (_PAIR_LIMIT.bit_length() - 1))}
 
 
@@ -438,7 +442,9 @@ def splat(rho_half: RhoVector, stats: RecombineStats | None = None) -> ValueTabl
 # meet-in-the-middle window queries
 
 
-def _window_pairs(ts: np.ndarray, vs: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+def _window_pairs(
+    ts: np.ndarray, vs: np.ndarray, eps: float, n: int
+) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs (i, j) with (vs[j] - ts[i]) mod 1 below eps or above
     1 - eps, the probe walk's test: every value within eps of a target on
     the unit circle. Both arrays must be sorted non-decreasing.
@@ -449,7 +455,8 @@ def _window_pairs(ts: np.ndarray, vs: np.ndarray, eps: float) -> tuple[np.ndarra
     Windows are narrow and most hold no value, so the upper bound is only
     searched at the hits, where the first value at or above the lower one
     lies inside; past them every array has one entry per hit or per pair.
-    Raises WidthExceeded when the pair volume exceeds _PAIR_LIMIT."""
+    Raises WidthExceeded, naming the instance's width n, when the pair
+    volume exceeds _PAIR_LIMIT."""
     w = eps + _WINDOW_PAD
     head = int(np.searchsorted(vs, w))
     tail = int(np.searchsorted(vs, 1.0 - w))
@@ -460,7 +467,6 @@ def _window_pairs(ts: np.ndarray, vs: np.ndarray, eps: float) -> tuple[np.ndarra
     counts = np.searchsorted(ext, ts[hit] + w, side="right") - lo
     volume = int(counts.sum())
     if volume > _PAIR_LIMIT:
-        n = (len(ts) * len(vs)).bit_length() - 1
         raise WidthExceeded(
             f"candidate volume of {volume:,} pairs exceeds {_PAIR_LIMIT:,} "
             f"(n = {n}, eps = {eps:.3g})"
@@ -473,21 +479,22 @@ def _window_pairs(ts: np.ndarray, vs: np.ndarray, eps: float) -> tuple[np.ndarra
     return qi[keep], vj[keep]
 
 
-def find(alpha: ValueTable, beta: ValueTable, eps: float) -> np.ndarray:
+def find(alpha: ValueTable, beta: ValueTable, eps: float, n: int) -> np.ndarray:
     """All concatenated patterns with alpha_i + beta_j within the accept
     bands, as a uint64 array: one window query of every (1 - alpha_i) mod 1
     against the sorted beta values, so the bands at 0, 1 and 2 are one
     circular window. beta must be dense and sorted; alpha's values may come
     in any order, since the targets are sorted here. Duplicate-value
     neighborhoods are fully enumerated. Raw discovery output; the caller
-    applies the canonical filter."""
+    applies the canonical filter. n is the width of the instance the halves
+    come from, named by the volume guard's message."""
     if alpha.sparse or beta.sparse:
         raise ValueError("find requires dense tables")
     t = 1.0 - alpha.values
     t[t == 1.0] = 0.0  # (1 - x) mod 1, bit for bit, and far cheaper than np.mod
     qorder = np.argsort(t)
     t = t[qorder]
-    qi, vj = _window_pairs(t, beta.values, eps + GUARD)
+    qi, vj = _window_pairs(t, beta.values, eps + GUARD, n)
     apat = alpha.patterns[qorder[qi]].astype(np.uint64)
     bpat = beta.patterns[vj].astype(np.uint64)
     return apat | (bpat << alpha.width)
@@ -497,19 +504,24 @@ def _meet(rho: RhoVector, eps: float, stats: RecombineStats | None, table) -> Ca
     """Meet in the middle for backends c, d and e, which differ only in
     table(high half, stats), the high half's dense sorted table; the low
     half's sums stay in pattern order, since find sorts their complements.
-    visited counts the 2^na + 2^nb sums formed. A half table costs tens of
-    bytes per sum, so halves of more than _PAIR_LIMIT sums, the window
-    query's own budget, are refused before any sum is formed."""
+
+    The search covers backend a's domain, the patterns below 2^(n-1): the
+    low half is rho[:na] and the high half rho[na:n-1], na = (n-1)//2, and
+    bit n-1 is never set. Each find s is then its own representative
+    min(s, ~s), and _canonical_filter still re-tests it against value().
+    visited counts the 2^na + 2^(n-1-na) sums formed. A half table costs
+    tens of bytes per sum, and n - n//2 past the bits of _PAIR_LIMIT, the
+    window query's own budget, is refused before any sum is formed."""
     n = len(rho)
     half_limit = _PAIR_LIMIT.bit_length() - 1
     if n - n // 2 > half_limit:
         raise WidthExceeded(f"half width {n - n // 2} exceeds backend limit {half_limit}")
     if n < 2:
         return recombine_a(rho, eps, stats)
-    na = n // 2
+    na = (n - 1) // 2
     alpha = _half_table(rho.values[:na], None, stats)
-    beta = table(RhoVector.from_values(rho.values[na:]), stats)
-    return CandidateSet(_canonical_filter(find(alpha, beta, eps), rho, eps), n)
+    beta = table(RhoVector.from_values(rho.values[na : n - 1]), stats)
+    return CandidateSet(_canonical_filter(find(alpha, beta, eps, n), rho, eps), n)
 
 
 def recombine_c(rho: RhoVector, eps: float, stats: RecombineStats | None = None) -> CandidateSet:

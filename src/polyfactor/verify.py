@@ -337,10 +337,10 @@ def _factor_squarefree(
     rho = RhoVector.from_profile(profile)
     stats.n = max(stats.n, len(rho))
     t0 = time.perf_counter()
-    cands = BACKENDS[backend](rho, cfg.eps, stats.recombine)
+    # only the nontrivial patterns are kept: the CandidateSet's own set of the
+    # same ints is 16 MB for x^60 - 1
+    patterns = BACKENDS[backend](rho, cfg.eps, stats.recombine).nontrivial()
     stats.recombine_seconds += time.perf_counter() - t0
-
-    patterns = cands.nontrivial()
     stats.candidates += len(patterns)
 
     t0 = time.perf_counter()

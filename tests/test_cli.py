@@ -147,10 +147,11 @@ def test_factor_width_exit_code_any_worker_count(workers, capsys):
 
 def test_factor_volume_exit_code(capsys):
     # x^60 - 1 at eps 0.01: n = 31 is within the width limits, but the
-    # window query would gather 42,502,144 pairs
+    # window query over the patterns below bit 30 would gather 21,251,072 pairs
     assert main(["factor", "x^60-1", "--eps", "0.01"]) == EXIT_WIDTH
     err = capsys.readouterr().err
-    assert err.startswith("width error: candidate volume of 42,502,144 pairs")
+    assert err.startswith("width error: candidate volume of 21,251,072 pairs")
+    assert "(n = 31, eps = 0.01)" in err
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
 

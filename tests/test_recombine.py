@@ -6,7 +6,7 @@ import pytest
 
 import polyfactor.recombine as recombine
 from polyfactor.errors import WidthExceeded
-from polyfactor.polynomial import gen_random_reducible
+from polyfactor.polynomial import IntPolynomial, gen_random_reducible, gen_swinnerton_dyer
 from polyfactor.recombine import (
     BACKENDS,
     EMPTY,
@@ -236,14 +236,38 @@ def _parity_vectors(seed: int):
 def test_meet_in_middle_reference_parity(backend):
     # c, d and e share one window query and differ only in the high half's
     # table: each gives backend a's set on tie-heavy vectors and forms the
-    # subset sums of both halves, and d splats the high half alone
+    # subset sums of both halves of bits 0..n-2, and d splats the high half alone
     for vals, eps in _parity_vectors(33):
         rho = rv(vals)
-        n, na = len(rho), len(rho) // 2
+        n = len(rho)
+        na = (n - 1) // 2
         st = RecombineStats()
         assert BACKENDS[backend](rho, eps, st).patterns == recombine_a(rho, eps).patterns
-        assert st.visited == 2**na + 2 ** (n - na), (vals, eps)
-        assert st.inserts == (2 ** (n - na) if backend == "d" else 0), (vals, eps)
+        assert st.visited == 2**na + 2 ** (n - 1 - na), (vals, eps)
+        assert st.inserts == (2 ** (n - 1 - na) if backend == "d" else 0), (vals, eps)
+
+
+@pytest.mark.parametrize("backend", ["c", "d", "e"])
+def test_meet_in_middle_searches_half_space(backend, monkeypatch):
+    # c, d and e search backend a's domain: no find they hand the canonical
+    # filter sets bit n - 1, and with all values 0 every one of its 2^(n-1)
+    # patterns is found exactly once
+    finds = []
+    canonical_filter = recombine._canonical_filter
+
+    def record(found, rho, eps):
+        finds.append(found)
+        return canonical_filter(found, rho, eps)
+
+    monkeypatch.setattr(recombine, "_canonical_filter", record)
+    for vals, eps in _parity_vectors(34):
+        n = len(vals)
+        finds.clear()
+        BACKENDS[backend](rv(vals), eps)
+        (found,) = finds
+        assert not np.any(found >> np.uint64(n - 1)), (vals, eps)
+        if not any(vals):
+            assert len(found) == len(set(found.tolist())) == 2 ** (n - 1), (vals, eps)
 
 
 def test_jump_soundness_exhaustive():
@@ -300,7 +324,7 @@ def test_expand_self_consistent():
 
 def test_find_zero_pair():
     a = expand(rv([]))  # single zero-pattern entry
-    assert set(find(a, a, EPS).tolist()) == {0}
+    assert set(find(a, a, EPS, 1).tolist()) == {0}
 
 
 def test_find_four_pair_exhaustive():
@@ -310,13 +334,13 @@ def test_find_four_pair_exhaustive():
     beta = ValueTable(
         values=np.array([0.1, 0.8]), patterns=np.array([0, 1]), width=1, sparse=False
     )
-    got = set(find(alpha, beta, EPS).tolist())
+    got = set(find(alpha, beta, EPS, 3).tolist())
     assert got == {0b10, 0b01}  # 0.2+0.8 and 0.9+0.1
     # the query side may come in any order; only beta must be sorted
     reverse = ValueTable(
         values=np.array([0.9, 0.2]), patterns=np.array([1, 0]), width=1, sparse=False
     )
-    assert set(find(reverse, beta, EPS).tolist()) == {0b10, 0b01}
+    assert set(find(reverse, beta, EPS, 3).tolist()) == {0b10, 0b01}
 
 
 def test_find_matches_oracle_through_c():
@@ -537,6 +561,18 @@ def test_complement_symmetry_on_polynomials():
             assert accept(value(s ^ full, rho), cfg.eps)
 
 
+@pytest.mark.parametrize(
+    "p, n", [(IntPolynomial([-1] + [0] * 47 + [1]), 25), (gen_swinnerton_dyer(4), 16)]
+)
+def test_meet_in_middle_parity_on_structured_profiles(p, n):
+    # integer roots give rho entries of 0 and the full pattern sums to an
+    # integer, so complements tie as densely as on any real input
+    cfg = ToleranceConfig()
+    rho = RhoVector.from_profile(profile_polynomial(p, cfg))
+    assert len(rho) == n
+    assert recombine_e(rho, cfg.eps).patterns == recombine_a(rho, cfg.eps).patterns
+
+
 def test_e_superset_contains_true_factors():
     from polyfactor.polynomial import gen_random_reducible_parts
     from polyfactor.verify import selected_degree
@@ -574,9 +610,9 @@ def test_half_width_guard_before_any_sum(backend, monkeypatch):
 
 @pytest.mark.parametrize("backend", [recombine_c, recombine_d, recombine_e])
 def test_candidate_volume_guard_c_d_e(backend):
-    # every one of the 2^40 patterns of 40 zeros is a candidate: the window
-    # query fails on its pair count before allocating the pairs
-    with pytest.raises(WidthExceeded, match=r"1,099,511,627,776 pairs .*n = 40, eps = 1e-06"):
+    # every one of the 2^39 patterns below bit 39 of 40 zeros is a candidate:
+    # the window query fails on its pair count before allocating the pairs
+    with pytest.raises(WidthExceeded, match=r" 549,755,813,888 pairs .*n = 40, eps = 1e-06"):
         backend(rv([0.0] * 40), EPS)
 
 
